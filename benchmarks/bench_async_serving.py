@@ -29,7 +29,6 @@ from repro.serving import (
     ProcessExecutor,
     SerialExecutor,
     ServerThread,
-    ThreadExecutor,
     Workload,
     WorkloadClient,
 )
@@ -63,54 +62,43 @@ def test_async_round_trip_speed(benchmark):
     sync_evaluator = BatchEvaluator(engine=engine)
     serial_answers = sync_evaluator.run(workload).answers
 
-    with ThreadExecutor(4) as threads:
-        async_evaluator = AsyncBatchEvaluator(engine=engine,
-                                              executor=threads)
-        # Parity before timing: identical node objects on the async path.
-        assert _identical(
-            asyncio.run(async_evaluator.run(workload)).answers,
-            serial_answers)
-
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            sync_evaluator.run(workload)
-        sync_per_round = (time.perf_counter() - start) / ROUNDS
-
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            asyncio.run(async_evaluator.run(workload))
-        async_per_round = (time.perf_counter() - start) / ROUNDS
-
-        result = benchmark.pedantic(
-            lambda: asyncio.run(async_evaluator.run(workload)),
-            rounds=ROUNDS, iterations=1)
-        assert _identical(result.answers, serial_answers)
-
-    # Streamed-first-answer latency on the deterministic width-1 path.
     serial_async = AsyncBatchEvaluator(engine=engine,
                                        executor=SerialExecutor())
+    # Parity before timing: identical node objects on the async path.
+    assert _identical(
+        asyncio.run(serial_async.run(workload)).answers, serial_answers)
 
+    start = time.perf_counter()
+    for _ in range(ROUNDS):
+        sync_evaluator.run(workload)
+    sync_per_round = (time.perf_counter() - start) / ROUNDS
+
+    start = time.perf_counter()
+    for _ in range(ROUNDS):
+        asyncio.run(serial_async.run(workload))
+    async_per_round = (time.perf_counter() - start) / ROUNDS
+
+    result = benchmark.pedantic(
+        lambda: asyncio.run(serial_async.run(workload)),
+        rounds=ROUNDS, iterations=1)
+    assert _identical(result.answers, serial_answers)
+
+    # Streamed-first-answer latency on the deterministic width-1 path.
     start = time.perf_counter()
     for _ in range(ROUNDS):
         asyncio.run(serial_async.first_answer(workload))
     first_per_round = (time.perf_counter() - start) / ROUNDS
 
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        asyncio.run(serial_async.run(workload))
-    serial_full_per_round = (time.perf_counter() - start) / ROUNDS
-
     rows = [
-        ("sync BatchEvaluator.run, thread executor",
+        ("sync BatchEvaluator.run, serial executor",
          f"{sync_per_round * 1e3:.3f}", "1.0x"),
-        ("asyncio AsyncBatchEvaluator.run, thread executor",
+        (f"asyncio AsyncBatchEvaluator.run, serial executor "
+         f"({N_DOCS} shards)",
          f"{async_per_round * 1e3:.3f}",
          f"{sync_per_round / async_per_round:.1f}x"),
-        (f"serial full batch ({N_DOCS} shards)",
-         f"{serial_full_per_round * 1e3:.3f}", ""),
         ("serial streamed FIRST answer",
          f"{first_per_round * 1e3:.3f}",
-         f"{serial_full_per_round / first_per_round:.1f}x sooner"),
+         f"{async_per_round / first_per_round:.1f}x sooner"),
     ]
     record_report(
         "SERVING-async facade + streamed first answer",
@@ -121,9 +109,9 @@ def test_async_round_trip_speed(benchmark):
 
     # The latency contract: the first streamed shard lands well before
     # the full batch would have (width-1 executor => ~1/N of the work).
-    assert first_per_round < serial_full_per_round, (
+    assert first_per_round < async_per_round, (
         f"first streamed answer ({first_per_round * 1e3:.3f} ms) not "
-        f"sooner than the full batch ({serial_full_per_round * 1e3:.3f} ms)")
+        f"sooner than the full batch ({async_per_round * 1e3:.3f} ms)")
 
 
 def test_tcp_round_trip_speed(benchmark):

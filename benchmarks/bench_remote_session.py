@@ -4,8 +4,8 @@ One full interactive twig session (pool scan, implied-label probes,
 question proposal, final propagation) runs against each
 :mod:`repro.learning.backend` implementation:
 
-* **LocalBackend** — direct engine calls, the serial floor;
-* **BatchedBackend** (thread executor) — the sharded serving path;
+* **LocalBackend** — in-process evaluation, the serial floor;
+* **BatchedBackend** (serial executor) — the sharded serving path;
 * **RemoteBackend** — the same session, unmodified, over a real TCP
   server (wire codec + socket + server-side evaluation per round).
 
@@ -36,7 +36,7 @@ from repro.learning.backend import (
     RemoteBackend,
 )
 from repro.learning.xml_session import InteractiveTwigSession
-from repro.serving import AsyncBatchEvaluator, ServerThread, ThreadExecutor
+from repro.serving import AsyncBatchEvaluator, ServerThread
 from repro.twig.parse import parse_twig
 from repro.util.tables import format_table
 
@@ -92,10 +92,8 @@ def test_remote_session_backend_invariance_and_latency(benchmark):
     assert baseline.query is not None
     assert baseline.stats.questions > 0
 
-    with ThreadExecutor(4) as executor:
-        batched, batched_s = _timed(
-            lambda: _run_session(
-                docs, BatchedBackend(engine=Engine(), executor=executor)))
+    batched, batched_s = _timed(
+        lambda: _run_session(docs, BatchedBackend(engine=Engine())))
     assert batched.query == baseline.query
     assert batched.stats.asked == baseline.stats.asked
 
@@ -139,9 +137,9 @@ def test_remote_session_backend_invariance_and_latency(benchmark):
     kib_up = remote_stats["bytes_sent"] / 1024
     saved_kib = remote_stats["bytes_saved"] / 1024
     rows = [
-        ("LocalBackend (direct engine)", f"{local_s * 1e3:.1f}", "-", "-",
+        ("LocalBackend (in-process)", f"{local_s * 1e3:.1f}", "-", "-",
          "1.0x"),
-        ("BatchedBackend (thread x4)", f"{batched_s * 1e3:.1f}", "-", "-",
+        ("BatchedBackend (serial)", f"{batched_s * 1e3:.1f}", "-", "-",
          f"{remote_s / batched_s:.1f}x vs remote"),
         (f"RemoteBackend (TCP, {remote_stats['round_trips']} round trips, "
          f"corpus shipped once, {saved_kib:.0f} KiB saved by refs)",

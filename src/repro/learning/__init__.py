@@ -21,9 +21,9 @@ One learner per data model, all sharing the example/oracle vocabulary of
   example, ask the user, propagate uninformative labels, minimise the
   number of interactions.
 * :mod:`repro.learning.backend` — the evaluation seam all of the above
-  run through: :class:`~repro.learning.backend.LocalBackend` (direct
-  engine), :class:`~repro.learning.backend.BatchedBackend` (sharded
-  batches on pluggable executors), and
+  run through: :class:`~repro.learning.backend.LocalBackend` (in-process,
+  the default), :class:`~repro.learning.backend.BatchedBackend` (sharded
+  batches on the serial or process executor), and
   :class:`~repro.learning.backend.RemoteBackend` (a TCP serving tier),
   answer-identical by contract.
 """

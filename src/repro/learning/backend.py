@@ -8,16 +8,16 @@ only way learning code evaluates a hypothesis, with three interchangeable
 implementations:
 
 :class:`LocalBackend`
-    Wraps an :class:`~repro.engine.core.Engine` directly — the
-    zero-overhead serial path.  No workload plumbing, no executor: each
-    shard evaluates inline against the caller's engine (indexes and
-    memos still shared and warm).
+    In-process evaluation on the caller's thread against one
+    :class:`~repro.engine.core.Engine` (indexes and memos shared and
+    warm) — a :class:`BatchedBackend` pinned to the serial executor, and
+    the default of every learner and session.
 
 :class:`BatchedBackend`
     Wraps a :class:`~repro.serving.evaluator.BatchEvaluator` and its
-    pluggable executor — the sessions' batched path.  Whole candidate
-    generations shard per instance and spread across serial / thread /
-    process executors; streamed shapes surface answers shard-by-shard.
+    pluggable executor.  Whole candidate generations shard per instance
+    and run inline (serial executor) or on a process pool; streamed
+    shapes surface answers shard-by-shard.
 
 :class:`RemoteBackend`
     Wraps a :class:`~repro.serving.net.WorkloadClient`, so any learner
@@ -44,7 +44,9 @@ server-side engine stats remotely).
 The derived membership shapes are implemented **once**, here, on top of
 the ``run``/``stream`` primitives — so answer grouping, position
 alignment, and ``None``-hypothesis semantics are identical across
-backends by construction, not by parallel re-implementation.
+backends by construction, not by parallel re-implementation.  In-process
+there is one evaluation path: both in-process backends run every shard
+through :class:`~repro.serving.evaluator.BatchEvaluator`.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ from typing import Any
 from repro.engine import Engine, LRUCache, get_engine
 from repro.engine.graph import query_key
 from repro.graphdb.graph import Graph, VertexId
-from repro.serving.evaluator import (
-    BatchEvaluator,
-    classify_candidates,
-    group_candidates_by_tree,
-    stream_select_flags,
-)
+from repro.serving.evaluator import BatchEvaluator
 from repro.serving.executors import ShardExecutor
 from repro.serving.net import WorkloadClient
 from repro.serving.resilience import CircuitBreaker, Deadline, RetryPolicy
@@ -73,7 +70,6 @@ from repro.serving.wire import (
 )
 from repro.serving.workload import (
     ItemKind,
-    Shard,
     ShardAnswer,
     Workload,
     WorkloadItem,
@@ -99,14 +95,36 @@ __all__ = [
 ]
 
 
-def distinct_documents(candidates: Sequence[Candidate]) -> list[XTree]:
-    """The distinct documents of ``(tree, node)`` pairs, in order.
+def _group_by_document(
+    candidates: Sequence[Candidate],
+) -> tuple[list[XTree], dict[int, list[int]]]:
+    """Distinct documents (first-occurrence order) plus, per document,
+    the candidate positions living in it — the document-identity
+    grouping of every ``selects*`` membership shape."""
+    documents: list[XTree] = []
+    positions: dict[int, list[int]] = {}
+    for i, (tree, _) in enumerate(candidates):
+        group = positions.get(id(tree))
+        if group is None:
+            positions[id(tree)] = group = []
+            documents.append(tree)
+        group.append(i)
+    return documents, positions
 
-    Thin wrapper over the serving layer's
-    :func:`~repro.serving.evaluator.group_candidates_by_tree` — one
-    grouping implementation for both layers.
-    """
-    return group_candidates_by_tree(candidates)[0]
+
+def distinct_documents(candidates: Sequence[Candidate]) -> list[XTree]:
+    """The distinct documents of ``(tree, node)`` pairs, in order."""
+    return _group_by_document(candidates)[0]
+
+
+def _classify(candidates: Sequence[Candidate], documents: Sequence[XTree],
+              answers: Sequence[Sequence[XNode]]) -> list[bool]:
+    """Per-candidate selection flags from per-document answer sets."""
+    selected: dict[int, set[int]] = {
+        id(doc): {id(n) for n in answer}
+        for doc, answer in zip(documents, answers)
+    }
+    return [id(node) in selected[id(tree)] for tree, node in candidates]
 
 
 def candidate_workload(queries: Sequence[TwigQuery],
@@ -132,7 +150,7 @@ def candidate_pair_flags(answers: Sequence, n_queries: int,
     flags: list[list[bool]] = []
     for k in range(n_queries):
         block = answers[k * len(documents):(k + 1) * len(documents)]
-        flags.append(classify_candidates(pairs, documents, block))
+        flags.append(_classify(pairs, documents, block))
     return flags
 
 
@@ -168,9 +186,9 @@ class EvaluationBackend:
     """Where hypotheses get evaluated; the learning layer's only seam.
 
     Subclasses implement the primitives ``_run`` / ``_stream`` (and may
-    override ``map`` / ``map_stream`` / the short-circuiting ``*_any``
-    shapes with cheaper equivalents); everything else — the selects /
-    accepts membership shapes, position-aligned grouping, ``None``
+    override the acceptance probes with cheaper equivalents, as the
+    remote backend does); everything else — the selects / accepts
+    membership shapes, ``map``, position-aligned grouping, ``None``
     hypothesis semantics — is derived here once, identically for every
     backend.  Backends are context managers; ``close()`` releases any
     resources the backend itself constructed.
@@ -209,11 +227,7 @@ class EvaluationBackend:
         raise NotImplementedError
 
     def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
-        """Default: run the whole batch, then surface it shard-shaped."""
-        result = self._run(workload)
-        for i, shard in enumerate(workload.shards()):
-            yield ShardAnswer(i, shard.indices,
-                              tuple(result.answers[p] for p in shard.indices))
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # The workload surface
@@ -323,7 +337,7 @@ class EvaluationBackend:
             return [False] * len(candidates)
         documents = distinct_documents(candidates)
         answers = self.evaluate_twig_batch(query, documents)
-        return classify_candidates(candidates, documents, answers)
+        return _classify(candidates, documents, answers)
 
     def selects_stream(
         self, query: TwigQuery | None, candidates: Sequence[Candidate],
@@ -333,12 +347,21 @@ class EvaluationBackend:
         Yields ``[(candidate_position, selected), ...]`` groups as each
         document's shard completes; the union of groups covers every
         position exactly once with flags equal to :meth:`selects_batch`.
-        Only group arrival order depends on the backend.  One shared
-        implementation (:func:`~repro.serving.evaluator.stream_select_flags`)
-        serves this method, ``BatchEvaluator.selects_stream``, and any
-        future stream producer.
+        Only group arrival order depends on the backend.
         """
-        return stream_select_flags(self.stream, query, candidates)
+        if not candidates:
+            return
+        if query is None:
+            yield [(i, False) for i in range(len(candidates))]
+            return
+        documents, positions = _group_by_document(candidates)
+        for shard_answer in self.stream(Workload.twig(query, documents)):
+            out: list[tuple[int, bool]] = []
+            for doc_position, answer in shard_answer:
+                selected = {id(n) for n in answer}
+                for i in positions[id(documents[doc_position])]:
+                    out.append((i, id(candidates[i][1]) in selected))
+            yield out
 
     def selects_any(self, query: TwigQuery | None,
                     candidates: Sequence[Candidate]) -> bool:
@@ -347,7 +370,7 @@ class EvaluationBackend:
         usually die on an early document)."""
         if query is None:
             return False
-        documents, positions = group_candidates_by_tree(candidates)
+        documents, positions = _group_by_document(candidates)
         return any(
             any(self.selects_batch(query,
                                    [candidates[i] for i in positions[id(doc)]]))
@@ -465,68 +488,18 @@ class EvaluationBackend:
         return f"<{type(self).__name__} name={self.name}>"
 
 
-class LocalBackend(EvaluationBackend):
-    """Direct engine evaluation — the zero-overhead serial path.
-
-    Each shard evaluates inline against one index snapshot (the same
-    snapshot-per-shard contract as the serving tier, minus every layer
-    of scheduling).  The right default for one-shot learners and tests.
-    """
-
-    name = "local"
-
-    def __init__(self, engine: Engine | None = None) -> None:
-        super().__init__(engine=engine)
-
-    def _run(self, workload: Workload) -> WorkloadResult:
-        answers: list = [None] * len(workload)
-        n_shards = 0
-        for shard_answer in self._stream(workload):
-            n_shards += 1
-            for position, answer in shard_answer:
-                answers[position] = answer
-        return WorkloadResult(workload, tuple(answers), self.name, n_shards)
-
-    def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
-        for i, shard in enumerate(workload.shards()):
-            yield ShardAnswer(i, shard.indices, self._eval_shard(shard))
-
-    def _eval_shard(self, shard: Shard) -> tuple:
-        # One index snapshot per shard, exactly like the serving tier.
-        engine = self.engine
-        if shard.kind is ItemKind.TWIG:
-            doc_index = engine.document(shard.items[0].instance)
-            return tuple(doc_index.evaluate(item.query)
-                         for item in shard.items)
-        if shard.kind is ItemKind.RPQ:
-            graph_index = engine.graph(shard.items[0].instance)
-            return tuple(graph_index.evaluate_rpq(item.query, item.sources)
-                         for item in shard.items)
-        return tuple(engine.accepts(item.query, item.word)
-                     for item in shard.items)
-
-    def selects(self, query: TwigQuery | None, tree: XTree,
-                node: XNode) -> bool:
-        if query is None:
-            return False
-        return self.engine.selects(query, tree, node)
-
-    def stats(self) -> dict[str, object]:
-        return {**super().stats(), "engine": self.engine.stats()}
-
-
 class BatchedBackend(EvaluationBackend):
     """The sharded serving path: one :class:`BatchEvaluator`, any executor.
 
-    ``BatchedBackend()`` is the interactive sessions' default (serial
-    executor, shared engine); pass ``executor=ThreadExecutor(...)`` /
-    ``ProcessExecutor(...)`` (or a ready evaluator) to spread candidate
-    generations across workers.  Ownership follows the construction
-    shape: passing ``executor=`` *parts* transfers the executor to the
-    backend (``close()`` tears it down — the inline
-    ``BatchedBackend(executor=ThreadExecutor(2))`` pattern must not leak
-    a pool), while passing a ready ``evaluator`` keeps its executor with
-    the caller (``close()`` leaves it running for other users).
+    ``BatchedBackend()`` runs on the serial executor and the shared
+    engine; pass ``executor=ProcessExecutor(...)`` (or a ready evaluator)
+    to spread candidate generations across worker processes.  Ownership
+    follows the construction shape: passing ``executor=`` *parts*
+    transfers the executor to the backend (``close()`` tears it down —
+    the inline ``BatchedBackend(executor=ProcessExecutor(2))`` pattern
+    must not leak a pool), while passing a ready ``evaluator`` keeps its
+    executor with the caller (``close()`` leaves it running for other
+    users).
     """
 
     name = "batched"
@@ -559,24 +532,6 @@ class BatchedBackend(EvaluationBackend):
             self._shards += 1
             yield shard_answer
 
-    def selects_any(self, query: TwigQuery | None,
-                    candidates: Sequence[Candidate]) -> bool:
-        return self.evaluator.selects_any(query, candidates)
-
-    def accepts_any(self, query: object,
-                    words: Sequence[Sequence[str]]) -> bool:
-        return self.evaluator.accepts_any(query, words)
-
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]:
-        self._map_calls += 1
-        return self.evaluator.map(fn, items)
-
-    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                   ) -> Iterator[list[tuple[int, Any]]]:
-        self._map_calls += 1
-        return self.evaluator.map_stream(fn, items)
-
     def stats(self) -> dict[str, object]:
         return {**super().stats(), "executor": self.executor.name,
                 "shards": self._shards, "engine": self.engine.stats()}
@@ -588,6 +543,22 @@ class BatchedBackend(EvaluationBackend):
     def close(self) -> None:
         if self._own_executor:
             self.executor.close()
+
+
+class LocalBackend(BatchedBackend):
+    """In-process evaluation on the caller's thread — every learner's
+    and session's default.
+
+    A :class:`BatchedBackend` pinned to the serial executor: each shard
+    evaluates inline against one index snapshot of the caller's engine,
+    through the same :class:`BatchEvaluator` shard evaluator as every
+    other in-process path.
+    """
+
+    name = "local"
+
+    def __init__(self, engine: Engine | None = None) -> None:
+        super().__init__(engine=engine)
 
 
 class RemoteBackend(EvaluationBackend):
@@ -934,24 +905,16 @@ class RemoteBackend(EvaluationBackend):
         self._idle = []
 
 
-def as_backend(
-    backend: EvaluationBackend | None = None,
-    *,
-    default: Callable[[], EvaluationBackend] = BatchedBackend,
-) -> EvaluationBackend:
+def as_backend(backend: EvaluationBackend | None = None) -> EvaluationBackend:
     """Resolve the ``backend=`` parameter of every learner and session.
 
     A ready backend passes through, a bare :class:`BatchEvaluator` in
     the backend slot is wrapped in a :class:`BatchedBackend` (tolerated
-    shorthand), and ``None`` falls back to ``default()`` —
-    :class:`BatchedBackend` for the interactive sessions (their
-    historical path), and callers that were previously inline-engine
-    pass ``default=LocalBackend``.  (The transitional ``evaluator=``
-    keyword and its :class:`DeprecationWarning` shim served their one
-    release after the backend seam landed and are gone.)
+    shorthand), and ``None`` falls back to a :class:`LocalBackend` on the
+    shared engine.
     """
     if backend is None:
-        return default()
+        return LocalBackend()
     if isinstance(backend, EvaluationBackend):
         return backend
     if isinstance(backend, BatchEvaluator):

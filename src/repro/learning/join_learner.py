@@ -107,9 +107,8 @@ class JoinVersionSpace:
         """Fold a batch of examples into the space.
 
         With an evaluation backend, the agreement-set scan — the only
-        per-example work — runs through ``backend.map``, so a batched
-        backend spreads it across its executor; the fold itself is
-        order-preserving and identical to repeated :meth:`add` calls.
+        per-example work — runs through ``backend.map``; the fold itself
+        is order-preserving and identical to repeated :meth:`add` calls.
         """
         examples = list(examples)
         if backend is None:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from repro.errors import LearningError
 from repro.learning.backend import (
     EvaluationBackend,
-    LocalBackend,
     as_backend,
     candidate_pair_flags,
     candidate_workload,
@@ -126,7 +125,7 @@ def pac_learn_twig(
             "concept may have negligible mass under the sampling "
             "distribution"
         )
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
 
     result = check_consistency(examples, budget=budget, backend=backend)
     if result.consistent and result.query is not None:

@@ -175,10 +175,10 @@ def check_path_consistency(
     compiled once, word verdicts are memoised, and batched/remote
     backends probe the whole negative set in sub-shards.
     """
-    from repro.learning.backend import LocalBackend, as_backend
+    from repro.learning.backend import as_backend
 
     learned = learn_path_query(positives)
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
     words = [tuple(w) for w in negatives]
     flags = backend.accepts_batch(learned.query, words)
     violated = [word for word, accepted in zip(words, flags) if accepted]

@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.errors import LearningError
-from repro.learning.backend import EvaluationBackend, LocalBackend, as_backend
+from repro.learning.backend import EvaluationBackend, as_backend
 from repro.learning.protocol import NodeExample
 from repro.twig.anchored import anchor_repair, is_anchored
 from repro.twig.ast import TwigQuery
@@ -83,7 +83,7 @@ def learn_twig(
     pairs = _as_pairs(examples)
     if not pairs:
         raise LearningError("at least one positive example is required")
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
 
     hypothesis: TwigQuery | None = None
     exact = True
@@ -114,7 +114,7 @@ def learn_twig_incremental(
     sweep costs one product per example.
     """
     pairs = _as_pairs(examples)
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
     hypothesis: TwigQuery | None = None
     exact = True
     for i, (tree, node) in enumerate(pairs, start=1):

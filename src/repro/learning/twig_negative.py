@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import LearningError
-from repro.learning.backend import EvaluationBackend, LocalBackend, as_backend
+from repro.learning.backend import EvaluationBackend, as_backend
 from repro.learning.protocol import NodeExample
 from repro.twig.anchored import anchor_repair
 from repro.twig.ast import TwigQuery
@@ -86,7 +86,7 @@ def check_consistency(
     if not positives:
         raise LearningError("at least one positive example is required")
 
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
     canonicals = [backend.canonical_query(e.tree, e.node) for e in positives]
 
     # Depth-first over example folds; at each fold, try alignment

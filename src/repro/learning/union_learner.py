@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from repro.errors import InconsistentExamplesError, LearningError
 from repro.learning.backend import (
     EvaluationBackend,
-    LocalBackend,
     as_backend,
     candidate_pair_flags,
     candidate_workload,
@@ -101,7 +100,7 @@ def learn_union_twig(
             positives.append(ex)
     if not positives:
         raise LearningError("at least one positive example is required")
-    backend = as_backend(backend, default=LocalBackend)
+    backend = as_backend(backend)
 
     disjuncts = [minimize(backend.canonical_query(t, n))
                  for t, n in positives]

@@ -20,22 +20,22 @@ Architecture
     ``Workload.accepts(...)`` build the common shapes; ``+`` concatenates.
 
 :class:`~repro.serving.executors.SerialExecutor`,
-:class:`~repro.serving.executors.ThreadExecutor`,
 :class:`~repro.serving.executors.ProcessExecutor`
-    Pluggable, order-preserving shard runners: inline, a persistent thread
-    pool sharing one thread-safe engine, or a persistent process pool fed
-    picklable :class:`~repro.serving.evaluator.ShardTask` records whose
-    workers return identity-free answers (pre-order positions, vertex
-    pairs, booleans).
+    Pluggable, order-preserving shard runners: inline against the
+    caller's engine, or a persistent process pool fed picklable
+    :class:`~repro.serving.evaluator.ShardTask` records whose workers
+    return identity-free answers (pre-order positions, vertex pairs,
+    booleans).
 
 :class:`~repro.serving.evaluator.BatchEvaluator`
     The service: shards a workload, hoists per-query work (canonical
     forms) out of the per-item loop, runs shard chunks on the executor,
     and decodes worker answers against its own engine's snapshots.
-    ``run_stream`` / ``selects_stream`` / ``accepts_stream`` /
-    ``map_stream`` surface answers shard-by-shard (completion order,
-    position-tagged) instead of waiting on the whole batch — the
-    interactive sessions consume these.
+    ``run`` returns the position-aligned result and ``run_stream``
+    surfaces answers shard-by-shard (completion order, position-tagged)
+    instead of waiting on the whole batch.  The membership shapes the
+    learners call (``selects*``, ``accepts*``, ``map*``) are built once
+    on these two, by :class:`~repro.learning.backend.EvaluationBackend`.
 
 :class:`~repro.serving.async_evaluator.AsyncBatchEvaluator`
     The asyncio facade: the same workloads, shards, and executors driven
@@ -77,12 +77,14 @@ Contracts
 
 Typical use::
 
-    from repro.serving import BatchEvaluator, ThreadExecutor, Workload
+    from repro.serving import BatchEvaluator, ProcessExecutor, Workload
 
-    evaluator = BatchEvaluator(executor=ThreadExecutor(max_workers=4))
-    answers = evaluator.evaluate_twig_batch(hypothesis, documents)
-    flags = evaluator.selects_batch(hypothesis, candidate_nodes)
-    result = evaluator.run(Workload.twig(h1, docs) + Workload.rpq(r, graphs))
+    with ProcessExecutor(max_workers=4) as executor:
+        evaluator = BatchEvaluator(executor=executor)
+        result = evaluator.run(Workload.twig(h1, docs)
+                               + Workload.rpq(r, graphs))
+        for shard_answer in evaluator.run_stream(Workload.twig(h2, docs)):
+            ...  # per-shard answers, in completion order
 """
 
 from repro.serving.async_evaluator import AsyncBatchEvaluator
@@ -101,7 +103,6 @@ from repro.serving.executors import (
     ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
-    ThreadExecutor,
 )
 from repro.serving.instance_cache import InstanceStore
 from repro.serving.net import (
@@ -166,7 +167,6 @@ __all__ = [
     "ShardGate",
     "ShardTask",
     "Stall",
-    "ThreadExecutor",
     "TransportError",
     "Truncate",
     "Workload",

@@ -5,12 +5,12 @@ objects as the synchronous :class:`~repro.serving.evaluator.BatchEvaluator`
 and schedules the same per-shard work on the same pluggable executors —
 but from inside an event loop, without ever blocking it on evaluation:
 
-* pooled executors (thread / process) are driven through
-  ``executor.submit``; the resulting :class:`concurrent.futures.Future`
-  is bridged into the loop with :func:`asyncio.wrap_future`;
-* non-pooled executors (serial, or any custom ``map``-only executor)
-  would run the shard inline on the caller's thread, so their submission
-  is offloaded to the loop's default thread pool via
+* the isolated process executor is driven through ``executor.submit``;
+  the resulting :class:`concurrent.futures.Future` is bridged into the
+  loop with :func:`asyncio.wrap_future`;
+* in-process executors (serial, or any custom inline executor) would
+  run the shard inline on the caller's thread, so their submission is
+  offloaded to the loop's default thread pool via
   ``loop.run_in_executor`` instead.
 
 :meth:`AsyncBatchEvaluator.stream` is the primitive: an async generator
@@ -31,14 +31,12 @@ per-shard answers go out as frames the moment they exist.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import AsyncIterator, Sequence
+from collections.abc import AsyncIterator
 
 from repro.engine import Engine
 from repro.serving.evaluator import BatchEvaluator
 from repro.serving.executors import ShardExecutor
 from repro.serving.workload import ShardAnswer, Workload, WorkloadResult
-from repro.twig.ast import TwigQuery
-from repro.xmltree.tree import XNode, XTree
 
 
 class AsyncBatchEvaluator:
@@ -114,14 +112,14 @@ class AsyncBatchEvaluator:
             shards, positions_native=positions_native)
         width = max(1, self.executor.parallelism())
         loop = asyncio.get_running_loop()
-        pooled = self.executor.pooled
+        isolated = self.executor.isolated
 
         async def run_one(i: int) -> tuple[int, tuple]:
-            if pooled:
+            if isolated:
                 raw = await asyncio.wrap_future(submit(i))
             else:
-                # Inline executors evaluate inside submit(); keep that off
-                # the event loop thread.
+                # In-process executors evaluate inside submit(); keep that
+                # off the event loop thread.
                 future = await loop.run_in_executor(None, submit, i)
                 # repro: allow[async-purity] inline executors complete the
                 # future inside submit() itself, which just ran to the end
@@ -174,7 +172,7 @@ class AsyncBatchEvaluator:
                 task.cancel()
 
     # ------------------------------------------------------------------
-    # Batch shapes on top of the stream
+    # Consumers of the stream
     # ------------------------------------------------------------------
     async def run(self, workload: Workload) -> WorkloadResult:
         """Deterministic ordered merge of the stream (parity with sync)."""
@@ -186,12 +184,6 @@ class AsyncBatchEvaluator:
                 answers[position] = answer
         return WorkloadResult(workload, tuple(answers), self.executor.name,
                               n_shards)
-
-    async def evaluate_twig_batch(
-        self, query: TwigQuery, documents: Sequence[XTree],
-    ) -> list[list[XNode]]:
-        """One hypothesis over many documents (async form)."""
-        return list((await self.run(Workload.twig(query, documents))).answers)
 
     async def first_answer(self, workload: Workload) -> ShardAnswer:
         """The earliest completed shard (the streamed-latency probe).

@@ -35,10 +35,10 @@ answers become visible, never what they are.
 
 Batching also does strictly less work than the serial loop: canonical
 query forms are hoisted once per workload (not recomputed per call), and
-:meth:`BatchEvaluator.selects_batch` materialises each document's answer
-set once to classify any number of candidate nodes against it — the
-per-interaction loop the interactive sessions previously ran one
-``engine.selects`` call per candidate.
+each shard resolves its instance's index once for all of its items.
+The membership shapes learners call (``selects*``, ``accepts*``) live
+once, on :class:`~repro.learning.backend.EvaluationBackend`, on top of
+these two primitives.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.engine import Engine, get_engine, instance_version
-from repro.graphdb.graph import Graph, VertexId
 from repro.serving.executors import SerialExecutor, ShardExecutor
 from repro.serving.wire import instance_fingerprint
 from repro.serving.workload import (
@@ -61,7 +60,6 @@ from repro.serving.workload import (
     Workload,
     WorkloadResult,
 )
-from repro.twig.ast import TwigQuery
 from repro.xmltree.tree import XNode, XTree
 
 
@@ -172,67 +170,6 @@ def _pin_preorder(tree: XTree) -> tuple[int, list[XNode]]:
     return instance_version(tree), list(tree.nodes())
 
 
-def group_candidates_by_tree(
-    candidates: Sequence[tuple[XTree, XNode]],
-) -> tuple[list[XTree], dict[int, list[int]]]:
-    """Distinct documents (first-occurrence order) plus, per document,
-    the candidate positions living in it.
-
-    THE document-identity grouping of every ``selects*`` membership
-    shape — the batch evaluator here and every
-    :class:`~repro.learning.backend.EvaluationBackend` share this one
-    implementation, so grouping semantics cannot silently diverge
-    between the serving and learning layers.
-    """
-    documents: list[XTree] = []
-    positions: dict[int, list[int]] = {}
-    for i, (tree, _) in enumerate(candidates):
-        group = positions.get(id(tree))
-        if group is None:
-            positions[id(tree)] = group = []
-            documents.append(tree)
-        group.append(i)
-    return documents, positions
-
-
-def classify_candidates(candidates: Sequence[tuple[XTree, XNode]],
-                        documents: Sequence[XTree],
-                        answers: Sequence[Sequence[XNode]]) -> list[bool]:
-    """Per-candidate selection flags from per-document answer sets."""
-    selected: dict[int, set[int]] = {
-        id(doc): {id(n) for n in answer}
-        for doc, answer in zip(documents, answers)
-    }
-    return [id(node) in selected[id(tree)] for tree, node in candidates]
-
-
-def stream_select_flags(
-    stream: Callable[["Workload"], Iterator[ShardAnswer]],
-    query: TwigQuery | None,
-    candidates: Sequence[tuple[XTree, XNode]],
-) -> Iterator[list[tuple[int, bool]]]:
-    """Shared streamed classification: ``[(position, selected), ...]``
-    groups, one per distinct document, as that document's shard answer
-    arrives from ``stream`` (any ``Workload -> Iterator[ShardAnswer]``
-    callable — a local ``run_stream``, a backend stream, or a remote
-    client).  The union of groups covers every candidate position
-    exactly once; only arrival order depends on the producer.
-    """
-    if not candidates:
-        return
-    if query is None:
-        yield [(i, False) for i in range(len(candidates))]
-        return
-    documents, positions = group_candidates_by_tree(candidates)
-    for shard_answer in stream(Workload.twig(query, documents)):
-        out: list[tuple[int, bool]] = []
-        for doc_position, answer in shard_answer:
-            selected = {id(n) for n in answer}
-            for i in positions[id(documents[doc_position])]:
-                out.append((i, id(candidates[i][1]) in selected))
-        yield out
-
-
 def _chunks(seq: Sequence, width: int) -> list[tuple]:
     """Split into at most ``width`` contiguous, size-balanced chunks."""
     n = len(seq)
@@ -284,7 +221,7 @@ class BatchEvaluator:
         Shards are submitted one future each (``executor.submit``),
         lazily windowed to the executor's width, and surfaced in
         *completion* order — the first answers arrive while later shards
-        are still evaluating (or, on a non-pooled executor, before later
+        are still evaluating (or, on an in-process executor, before later
         shards have even been submitted).  Every yielded answer is
         value-identical to the corresponding :meth:`run` answer;
         reassembling by ``ShardAnswer.indices`` reproduces
@@ -404,19 +341,13 @@ class BatchEvaluator:
         return twig_keys
 
     # ------------------------------------------------------------------
-    # Shared-engine path (serial / thread executors)
+    # Shared-engine path (in-process executors)
     # ------------------------------------------------------------------
     def _run_shared(self, shards: list[Shard]) -> list[tuple]:
         twig_keys = self._hoist_twig_keys(shards)
         engine = self.engine
-
-        def run_chunk(chunk: tuple[Shard, ...]) -> tuple:
-            return tuple(self._eval_shard(engine, s, twig_keys)
-                         for s in chunk)
-
-        chunk_results = self.executor.map(
-            run_chunk, _chunks(shards, self.executor.parallelism()))
-        return [ans for chunk in chunk_results for ans in chunk]
+        return self.executor.map(
+            lambda shard: self._eval_shard(engine, shard, twig_keys), shards)
 
     @staticmethod
     def _eval_shard(engine: Engine, shard: Shard,
@@ -497,163 +428,6 @@ class BatchEvaluator:
         version, nodes = snapshot
         BatchEvaluator._check_version(shard, version)
         return tuple([nodes[i] for i in indices] for indices in raw)
-
-    # ------------------------------------------------------------------
-    # Convenience batch shapes
-    # ------------------------------------------------------------------
-    def evaluate_twig_batch(self, query: TwigQuery,
-                            documents: Sequence[XTree]) -> list[list[XNode]]:
-        """One hypothesis over many documents, in document order each."""
-        return list(self.run(Workload.twig(query, documents)).answers)
-
-    def evaluate_queries(self, queries: Sequence[TwigQuery],
-                         document: XTree) -> list[list[XNode]]:
-        """Many queries over one document (one shard, one snapshot)."""
-        return list(self.run(Workload.twig_queries(queries,
-                                                   document)).answers)
-
-    def evaluate_rpq_batch(
-        self, query: object, graphs: Sequence[Graph], *,
-        sources: Sequence[VertexId] | None = None,
-    ) -> list[set[tuple[VertexId, VertexId]]]:
-        """One path query over many graphs."""
-        return list(self.run(Workload.rpq(query, graphs,
-                                          sources=sources)).answers)
-
-    def accepts_batch(self, query: object,
-                      words: Sequence[Sequence[str]]) -> list[bool]:
-        """One path query probed with many words."""
-        return list(self.run(Workload.accepts(query, words)).answers)
-
-    def accepts_stream(
-        self, query: object, words: Sequence[Sequence[str]],
-    ) -> Iterator[list[tuple[int, bool]]]:
-        """Stream :meth:`accepts_batch` flags shard-by-shard.
-
-        Yields ``[(word_position, accepted), ...]`` groups, one per
-        acceptance sub-shard (``Workload.ACCEPTS_SHARD_SIZE`` words), as
-        each completes — the path session starts filtering a group's
-        words while later groups are still being probed.  The union of
-        all groups covers every position exactly once and equals
-        ``accepts_batch(query, words)``.
-        """
-        workload = Workload.accepts(query, words)
-        for shard_answer in self.run_stream(workload):
-            yield list(shard_answer)
-
-    def selects_batch(self, query: TwigQuery | None,
-                      candidates: Sequence[tuple[XTree, XNode]],
-                      ) -> list[bool]:
-        """Does ``query`` select each ``(document, node)`` candidate?
-
-        Evaluates the query once per *distinct* document and classifies
-        all of a document's candidates against its answer id-set — the
-        batched form of the sessions' per-candidate ``engine.selects``
-        loop (``None`` selects nothing, like an absent hypothesis).
-        """
-        if query is None or not candidates:
-            return [False] * len(candidates)
-        documents, _ = group_candidates_by_tree(candidates)
-        answers = self.evaluate_twig_batch(query, documents)
-        return classify_candidates(candidates, documents, answers)
-
-    def selects_stream(
-        self, query: TwigQuery | None,
-        candidates: Sequence[tuple[XTree, XNode]],
-    ) -> Iterator[list[tuple[int, bool]]]:
-        """Stream :meth:`selects_batch` flags document-by-document.
-
-        Yields ``[(candidate_position, selected), ...]`` groups — one per
-        distinct document, as that document's shard completes — so a
-        session can classify (and run follow-up probes on) one document's
-        candidates while the rest of the corpus is still evaluating.  The
-        union of all groups covers every candidate position exactly once,
-        and the flags equal ``selects_batch(query, candidates)``; only
-        group arrival order depends on scheduling.
-        """
-        return stream_select_flags(self.run_stream, query, candidates)
-
-    def selects_any(self, query: TwigQuery | None,
-                    candidates: Sequence[tuple[XTree, XNode]]) -> bool:
-        """Does ``query`` select *some* candidate?  Short-circuiting.
-
-        The refutation probe of the learners' inner loops: most probed
-        hypotheses are violated by an early candidate, so this evaluates
-        the query one distinct document at a time (batched classification
-        within each document) and stops at the first hit — unlike
-        :meth:`selects_batch`, which always materialises every answer.
-        """
-        if query is None:
-            return False
-        documents, positions = group_candidates_by_tree(candidates)
-        return any(
-            any(self.selects_batch(
-                query, [candidates[i] for i in positions[id(doc)]]))
-            for doc in documents)
-
-    def accepts_any(self, query: object,
-                    words: Sequence[Sequence[str]]) -> bool:
-        """Does the query language contain *some* word?  Short-circuiting.
-
-        Serves the sessions' implied-negative probes: acceptance is
-        memoised per (query, word) on the engine, so the only win left is
-        stopping at the first accepted word — batching adds nothing here.
-        """
-        return any(self.engine.accepts(query, tuple(w)) for w in words)
-
-    # ------------------------------------------------------------------
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]:
-        """Order-preserving executor-backed map for arbitrary pure calls.
-
-        Serves session loops whose per-item work is not an engine query
-        (e.g. join-predicate informativeness).  Isolated executors fall
-        back to inline execution — arbitrary closures don't cross process
-        boundaries.
-        """
-        if not items:
-            return []
-        if self.executor.isolated:
-            return [fn(item) for item in items]
-
-        def run_chunk(chunk: tuple) -> tuple:
-            return tuple(fn(item) for item in chunk)
-
-        chunk_results = self.executor.map(
-            run_chunk, _chunks(items, self.executor.parallelism()))
-        return [out for chunk in chunk_results for out in chunk]
-
-    def map_stream(self, fn: Callable[[Any], Any],
-                   items: Sequence[Any],
-                   ) -> Iterator[list[tuple[int, Any]]]:
-        """Stream :meth:`map` results chunk-by-chunk as chunks complete.
-
-        Yields ``[(item_position, fn(item)), ...]`` groups.  Chunking is
-        finer than :meth:`map`'s (4x the executor width, so even a
-        serial executor yields multiple groups) and groups arrive in
-        completion order; the union covers every position exactly once
-        with values equal to ``map(fn, items)``.  Isolated executors run
-        chunks inline, lazily — arbitrary closures don't cross process
-        boundaries, but consumers still see group-at-a-time progress.
-        """
-        items = list(items)
-        if not items:
-            return
-        n_chunks = max(1, min(len(items),
-                              4 * max(1, self.executor.parallelism())))
-        index_chunks = _chunks(range(len(items)), n_chunks)
-
-        def run_chunk(chunk: tuple[int, ...]) -> list[tuple[int, Any]]:
-            return [(i, fn(items[i])) for i in chunk]
-
-        if self.executor.isolated:
-            for chunk in index_chunks:
-                yield run_chunk(chunk)
-            return
-        for _, group in self._stream_futures(
-                lambda i: self.executor.submit(run_chunk, index_chunks[i]),
-                len(index_chunks)):
-            yield group
 
     def __repr__(self) -> str:
         return f"<BatchEvaluator executor={self.executor.name}>"

@@ -2,18 +2,13 @@
 
 The :class:`~repro.serving.evaluator.BatchEvaluator` turns a workload
 into shard-chunk tasks and hands them to an executor; the executor only
-decides *where* the chunks run.  All three implementations preserve task
+decides *where* the chunks run.  Both implementations preserve task
 order, so batch answers are deterministic regardless of scheduling:
 
 :class:`SerialExecutor`
-    Runs chunks inline.  The zero-overhead default — batching still wins
-    by amortising per-call work (query canonicalisation, answer
-    materialisation) across a shard.
-
-:class:`ThreadExecutor`
-    A persistent thread pool sharing the caller's engine, exercising the
-    engine's thread-safety.  Shards hit the shared compiled-NFA and
-    query-result caches, so repeated batches stay warm across workers.
+    Runs chunks inline against the caller's engine.  The zero-overhead
+    default — batching still wins by amortising per-call work (query
+    canonicalisation, answer materialisation) across a shard.
 
 :class:`ProcessExecutor`
     A persistent process pool for picklable shard tasks
@@ -24,12 +19,12 @@ order, so batch answers are deterministic regardless of scheduling:
     available — ``spawn``/``forkserver`` re-import ``__main__`` in every
     worker, which breaks REPL/stdin-driven callers and re-executes
     unguarded scripts — and **spawns its workers at construction time**:
-    forking from a process whose threads (say, an in-flight
-    ``ThreadExecutor`` batch) hold an engine or cache lock would snapshot
-    the held lock into the child and deadlock it, so the fork happens
-    before this executor can possibly be part of such a batch.  Callers
-    who start their own threads before constructing executors should
-    construct the ``ProcessExecutor`` first, or pass
+    forking from a process whose threads (say, a server's event loop or
+    its offloaded shard evaluations) hold an engine or cache lock would
+    snapshot the held lock into the child and deadlock it, so the fork
+    happens before this executor can possibly be part of such work.
+    Callers who start their own threads before constructing executors
+    should construct the ``ProcessExecutor`` first, or pass
     ``start_method="forkserver"`` (requires an importable ``__main__``).
 
 Besides the batch-shaped ``map``, every executor exposes ``submit`` — one
@@ -38,15 +33,15 @@ streaming paths build on (:meth:`BatchEvaluator.run_stream
 <repro.serving.evaluator.BatchEvaluator.run_stream>` and the
 :class:`~repro.serving.async_evaluator.AsyncBatchEvaluator`): shard
 answers surface as each future completes instead of waiting on the whole
-``map``.  Non-pooled executors (``pooled = False``) run the task inline
+``map``.  In-process executors (``isolated = False``) run the task inline
 and return an already-completed future, so callers that want inline work
 off their own thread (the asyncio facade) must offload the ``submit``
-call itself.
+call itself; the process executor hands it to its workers.
 
 Executors are context managers; ``close()`` tears the pool down, and a
 closed executor refuses further ``map`` calls (construct a new one).
-Serial and thread executors construct for free; the process executor pays
-its worker fork up front, by design.  Explicit ``max_workers`` must be
+The serial executor constructs for free; the process executor pays its
+worker fork up front, by design.  An explicit ``max_workers`` must be
 positive — a zero or negative width raises :class:`ValueError` instead of
 silently falling back to the default.
 """
@@ -73,11 +68,10 @@ def _resolve_width(max_workers: int | None, default: int) -> int:
 class ShardExecutor:
     """Order-preserving ``map`` (and one-task ``submit``) over shard tasks."""
 
-    #: True when tasks cross a process boundary and must be picklable.
+    #: True when tasks cross a process boundary and must be picklable;
+    #: such an executor's submit() hands the task to background workers,
+    #: while an in-process one runs it inline on the calling thread.
     isolated = False
-    #: True when submit() hands the task to background workers; False when
-    #: it runs inline on the calling thread (serial and custom executors).
-    pooled = False
     name = "abstract"
 
     def parallelism(self) -> int:
@@ -105,7 +99,7 @@ class ShardExecutor:
         return future
 
     def close(self) -> None:
-        """Release pooled workers (idempotent)."""
+        """Release the executor's workers (idempotent)."""
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -127,47 +121,6 @@ class SerialExecutor(ShardExecutor):
         return [fn(t) for t in tasks]
 
 
-class ThreadExecutor(ShardExecutor):
-    """Run chunks on a persistent thread pool sharing one engine."""
-
-    name = "thread"
-    pooled = True
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = _resolve_width(
-            max_workers, min(8, (os.cpu_count() or 1) * 2))
-        # Created in __init__, not on first map(): a shared executor may
-        # see its first two map() calls race, and lazy creation there
-        # would construct two pools and leak one.  ThreadPoolExecutor
-        # itself starts no threads until the first submit, so this is
-        # free.
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = \
-            concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-serving")
-
-    def parallelism(self) -> int:
-        return self.max_workers
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            raise RuntimeError("executor is closed; construct a new one")
-        return self._pool
-
-    def map(self, fn: Callable[[Any], Any],
-            tasks: Sequence[Any]) -> list[Any]:
-        return list(self._ensure_pool().map(fn, tasks))
-
-    def submit(self, fn: Callable[..., Any],
-               *args: Any) -> concurrent.futures.Future:
-        return self._ensure_pool().submit(fn, *args)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def _noop() -> None:
     """Picklable no-op used to force worker spawn at construction."""
 
@@ -176,7 +129,6 @@ class ProcessExecutor(ShardExecutor):
     """Run picklable chunks on a persistent process pool."""
 
     isolated = True
-    pooled = True
     name = "process"
 
     def __init__(self, max_workers: int | None = None,

@@ -679,7 +679,7 @@ class WorkloadServer:
                                            positions_native=True)
             async for shard_answer in stream:
                 write_frame(writer, codec.encode_shard_answer(
-                    workload, shard_answer, positions_native=True))
+                    workload, shard_answer))
                 await writer.drain()
                 n_shards += 1
             write_frame(writer, {"type": "done", "n_shards": n_shards,

@@ -839,12 +839,11 @@ class WorkloadCodec:
     *and queries* therefore travel once each, in ``instances`` /
     ``queries`` tables, and items reference them by index — the decoded
     workload shards exactly like the original.
-    Twig answers travel as pre-order positions.  A positions-native
-    producer (the server streams the evaluator with
-    ``positions_native=True``) encodes the engine's position tuples
-    directly; the client decodes positions back onto its own node
-    objects at the answer boundary — the same identity-free trick the
-    process executor uses, stretched across the socket.
+    Twig answers travel as pre-order positions: the encoder takes the
+    engine's position tuples (the server streams the evaluator with
+    ``positions_native=True``) and the client decodes positions back onto
+    its own node objects at the answer boundary — the same identity-free
+    trick the process executor uses, stretched across the socket.
 
     Instances are content-addressed end to end.  Encoding with
     ``known_digests`` replaces instances the peer already holds with
@@ -854,22 +853,14 @@ class WorkloadCodec:
     every record by digest, so repeated rounds resolve to **the same
     decoded object** — which is exactly what lets the engine's weak-keyed
     index map serve a warm index instead of rebuilding one per round.
-    ``preorder`` optionally supplies the pre-order node list from a
-    shared snapshot (e.g. :meth:`repro.engine.core.Engine.preorder_nodes`)
-    for *decode*-side position -> node mapping, instead of re-walking the
-    tree per codec; a positions-native encoder never needs one.
     """
 
-    def __init__(self, *, preorder: Callable[[XTree], Sequence[XNode]]
-                 | None = None,
-                 delta_applier: Callable[[object, dict], object]
-                 | None = None) -> None:
+    def __init__(self) -> None:
         self._instances: list[object] = []
         self._index_of: dict[int, int] = {}
         self._queries: list[object] = []
         self._query_index_of: dict[int, int] = {}
         self._preorder: dict[int, list[XNode]] = {}
-        self._preorder_fn = preorder
         self._instance_by_digest: dict[str, object] = {}
         # Decode-side overlay: every digest this codec (= this request)
         # has resolved, pinned for the request's lifetime.  It makes one
@@ -893,7 +884,8 @@ class WorkloadCodec:
         # base.  The default patches a structural copy (safe anywhere);
         # the server installs an in-place applier that reuses the stored
         # instance — and its warm index — when nothing else is using it.
-        self._delta_applier = delta_applier or apply_delta_copy
+        self._delta_applier: Callable[[object, dict], object] = \
+            apply_delta_copy
 
     # -- encoding side ---------------------------------------------------
     def _instance_ref(self, instance: object) -> int:
@@ -1219,43 +1211,25 @@ class WorkloadCodec:
         return self._queries[index]
 
     # -- answers ---------------------------------------------------------
-    def _positions_of(self, instance: XTree) -> dict[int, int]:
-        nodes = self._preorder_nodes(instance)
-        return {id(node): position for position, node in enumerate(nodes)}
-
     def _preorder_nodes(self, instance: XTree) -> list[XNode]:
         key = id(instance)
         if key not in self._preorder:
-            # With a shared snapshot supplier (the server passes the
-            # engine's indexed pre-order), repeated rounds over a cached
-            # instance reuse one enumeration instead of re-walking the
-            # tree per request.
-            if self._preorder_fn is not None:
-                self._preorder[key] = list(self._preorder_fn(instance))
-            else:
-                self._preorder[key] = list(instance.nodes())
+            self._preorder[key] = list(instance.nodes())
         return self._preorder[key]
 
     def encode_shard_answer(self, workload: Workload,
-                            shard_answer: ShardAnswer, *,
-                            positions_native: bool = False) -> dict:
+                            shard_answer: ShardAnswer) -> dict:
         """Identity-free shard frame (positions / pairs / booleans).
 
-        With ``positions_native=True`` twig answers are already pre-order
-        position tuples (a positions-native evaluator stream) and pass
-        straight into the frame — no per-request node enumeration, no
-        ``id -> position`` map.  The frame bytes are identical either
-        way, so decoders cannot tell the difference.
+        Twig answers must already be pre-order position tuples (a
+        positions-native evaluator stream); they pass straight into the
+        frame.
         """
         answers: list[Any] = []
         for position, answer in shard_answer:
             item = workload[position]
             if item.kind is ItemKind.TWIG:
-                if positions_native:
-                    answers.append([int(p) for p in answer])
-                    continue
-                positions = self._positions_of(item.instance)
-                answers.append([positions[id(node)] for node in answer])
+                answers.append([int(p) for p in answer])
             elif item.kind is ItemKind.RPQ:
                 answers.append(sorted(
                     ([_encode_vertex(s), _encode_vertex(t)]

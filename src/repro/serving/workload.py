@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.graphdb.graph import Graph, VertexId
 from repro.twig.ast import TwigQuery
@@ -165,7 +166,7 @@ class ShardAnswer:
     indices: tuple[int, ...]
     answers: tuple
 
-    def __iter__(self) -> Iterator[tuple[int, object]]:
+    def __iter__(self) -> Iterator[tuple[int, Any]]:
         """Iterate ``(item_position, answer)`` pairs."""
         return iter(zip(self.indices, self.answers))
 

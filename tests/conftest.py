@@ -98,6 +98,22 @@ def twig_queries(draw, max_depth: int = 3) -> TwigQuery:
     return TwigQuery(root_axis, root, selected)
 
 
+@st.composite
+def small_graphs(draw):
+    """Random small edge-labelled graphs over vertices ``0..n-1``."""
+    from repro.graphdb.graph import Graph
+
+    g = Graph()
+    n = draw(st.integers(2, 5))
+    for v in range(n):
+        g.add_vertex(v)
+    for _ in range(draw(st.integers(0, 10))):
+        g.add_edge(draw(st.integers(0, n - 1)),
+                   draw(st.sampled_from("abc")),
+                   draw(st.integers(0, n - 1)))
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Seeded edit scripts through the tracked mutators
 # ---------------------------------------------------------------------------
@@ -174,6 +190,21 @@ def identical_answers(batch, serial) -> bool:
         len(a) == len(b) and all(x is y for x, y in zip(a, b))
         for a, b in zip(batch, serial)
     )
+
+
+def in_process_backends(engine, process_executor) -> list:
+    """The in-process backend roster over one engine: local, batched on
+    the serial executor, and batched on a (caller-owned, module-scoped)
+    process pool — every membership shape must agree across all three."""
+    from repro.learning.backend import BatchedBackend, LocalBackend
+    from repro.serving import BatchEvaluator, SerialExecutor
+
+    return [
+        LocalBackend(engine=engine),
+        BatchedBackend(engine=engine, executor=SerialExecutor()),
+        BatchedBackend(evaluator=BatchEvaluator(engine=engine,
+                                                executor=process_executor)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The evaluation-backend seam: every learner gets identical answers —
 same learned query, same question sequence, same node *objects* — on
-:class:`LocalBackend`, :class:`BatchedBackend` (all executors), and
-:class:`RemoteBackend` over a real TCP server.
+:class:`LocalBackend`, :class:`BatchedBackend` (serial and process
+executors), and :class:`RemoteBackend` over a real TCP server.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine
+from repro.graphdb.pathquery import PathQuery
+from repro.graphdb.regex import parse_regex
+from repro.graphdb.rpq import evaluate_rpq_naive
 from repro.learning.backend import (
     BatchedBackend,
     EvaluationBackend,
@@ -35,16 +38,24 @@ from repro.relational.generator import make_join_instance
 from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
+    ItemKind,
     ProcessExecutor,
-    SerialExecutor,
     ServerThread,
-    ThreadExecutor,
+    WorkloadItem,
 )
 from repro.twig.generator import canonical_query_for_node
 from repro.twig.parse import parse_twig
+from repro.twig.semantics import evaluate_naive
 from repro.xmltree.tree import XTree
 
-from .conftest import identical_answers, xml, xnode_trees
+from .conftest import (
+    identical_answers,
+    in_process_backends,
+    small_graphs,
+    twig_queries,
+    xml,
+    xnode_trees,
+)
 
 # ---------------------------------------------------------------------------
 # The backend roster (module-scoped: one process pool, one TCP server)
@@ -58,27 +69,16 @@ def process_executor():
 
 
 @pytest.fixture(scope="module")
-def thread_executor():
-    with ThreadExecutor(3) as executor:
-        yield executor
-
-
-@pytest.fixture(scope="module")
 def server():
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server_thread:
         yield server_thread
 
 
 @pytest.fixture
-def all_backends(thread_executor, process_executor, server):
-    """One of each: local, batched serial/thread/process, remote TCP."""
+def all_backends(process_executor, server):
+    """One of each: local, batched serial/process, remote TCP."""
     backends = [
-        LocalBackend(engine=Engine()),
-        BatchedBackend(engine=Engine(), executor=SerialExecutor()),
-        BatchedBackend(evaluator=BatchEvaluator(engine=Engine(),
-                                                executor=thread_executor)),
-        BatchedBackend(evaluator=BatchEvaluator(engine=Engine(),
-                                                executor=process_executor)),
+        *in_process_backends(Engine(), process_executor),
         RemoteBackend(*server.address),
     ]
     yield backends
@@ -123,9 +123,67 @@ def test_membership_shapes_identical_on_every_backend(roots, data):
             backend.close()
 
 
-def test_accepts_shapes_identical_on_every_backend(all_backends):
-    from repro.graphdb.pathquery import PathQuery
+@st.composite
+def mixed_workloads(draw) -> Workload:
+    """Random interleavings of twig, RPQ and acceptance items; documents,
+    graphs and queries are shared between items, so shards group several
+    items and mix kinds across one workload."""
+    docs = [XTree(draw(xnode_trees(max_depth=3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    graphs = [draw(small_graphs()) for _ in range(draw(st.integers(1, 2)))]
+    twigs = [draw(twig_queries(max_depth=3))
+             for _ in range(draw(st.integers(1, 3)))]
+    regexes = [parse_regex(text) for text in ("a+", "a.b", "(a|b)*.c")]
+    paths = [PathQuery.parse(text) for text in ("a+.b?", "(a|b)*")]
+    items = []
+    for kind in draw(st.lists(st.sampled_from(list(ItemKind)),
+                              min_size=1, max_size=10)):
+        if kind is ItemKind.TWIG:
+            items.append(WorkloadItem(kind, draw(st.sampled_from(twigs)),
+                                      draw(st.sampled_from(docs))))
+        elif kind is ItemKind.RPQ:
+            graph = draw(st.sampled_from(graphs))
+            sources = draw(st.none() | st.lists(
+                st.sampled_from(sorted(graph.vertices())), max_size=2))
+            items.append(WorkloadItem(
+                kind, draw(st.sampled_from(regexes)), graph,
+                sources=None if sources is None else tuple(sources)))
+        else:
+            word = draw(st.lists(st.sampled_from("abc"), max_size=4))
+            items.append(WorkloadItem(kind, draw(st.sampled_from(paths)),
+                                      word=tuple(word)))
+    return Workload(items)
 
+
+@settings(max_examples=25, deadline=None)
+@given(workload=mixed_workloads())
+def test_mixed_workload_matches_naive_oracles_on_every_backend(
+        process_executor, server, workload):
+    expected = []
+    for item in workload:
+        if item.kind is ItemKind.TWIG:
+            expected.append([id(n) for n in
+                             evaluate_naive(item.query, item.instance)])
+        elif item.kind is ItemKind.RPQ:
+            expected.append(evaluate_rpq_naive(
+                item.query, item.instance,
+                None if item.sources is None else list(item.sources)))
+        else:
+            expected.append(item.query.accepts(item.word))
+    backends = [*in_process_backends(Engine(), process_executor),
+                RemoteBackend(*server.address)]
+    try:
+        for backend in backends:
+            answers = backend.run(workload).answers
+            got = [[id(n) for n in answer] if item.kind is ItemKind.TWIG
+                   else answer for item, answer in zip(workload, answers)]
+            assert got == expected, backend
+    finally:
+        for backend in backends:
+            backend.close()
+
+
+def test_accepts_shapes_identical_on_every_backend(all_backends):
     query = PathQuery.parse("road+.rail?")
     words = [("road",), ("rail",), ("road", "road"), ("road", "rail"),
              ("rail", "road"), ()]
@@ -360,8 +418,7 @@ def test_evaluator_parameter_is_removed():
 def test_as_backend_resolution_rules():
     backend = LocalBackend(Engine())
     assert as_backend(backend) is backend
-    assert isinstance(as_backend(None), BatchedBackend)
-    assert isinstance(as_backend(None, default=LocalBackend), LocalBackend)
+    assert as_backend(None).name == "local"
     wrapped = as_backend(BatchEvaluator())
     assert isinstance(wrapped, BatchedBackend)
     with pytest.raises(TypeError, match="EvaluationBackend"):
@@ -485,19 +542,18 @@ def test_remote_stats_report_round_trips_bytes_and_server_engine(server):
         assert engine_stats["document_builds"] == before + 1
 
 
-def test_backend_close_contracts():
+def test_backend_close_contracts(process_executor):
     # BatchedBackend closes an executor it constructed...
-    backend = BatchedBackend(engine=Engine(), executor=ThreadExecutor(2))
+    backend = BatchedBackend(engine=Engine(), executor=ProcessExecutor(1))
     backend.evaluate_twig_batch(parse_twig("//b"), [xml("<a><b/></a>")])
     backend.close()
     with pytest.raises(RuntimeError, match="closed"):
-        backend.executor.map(lambda c: c, [()])
+        backend.executor.map(abs, [-1])
     # ...but not one the caller supplied via a ready evaluator.
-    with ThreadExecutor(2) as executor:
-        shared = BatchedBackend(
-            evaluator=BatchEvaluator(engine=Engine(), executor=executor))
-        shared.close()
-        assert executor.map(lambda c: c, [(1,)]) == [(1,)]
+    shared = BatchedBackend(
+        evaluator=BatchEvaluator(engine=Engine(), executor=process_executor))
+    shared.close()
+    assert process_executor.map(abs, [-1]) == [1]
 
 
 def test_remote_backend_owns_or_shares_its_client(server):

@@ -1,6 +1,7 @@
 """The batch-evaluation service: batched answers must be element-for-element
 identical (same node objects, document order) to the serial engine path,
-on every executor, for any workload shape.
+on every in-process backend (local, batched serial, batched process), for
+any workload shape.
 """
 
 from __future__ import annotations
@@ -18,24 +19,30 @@ from repro.serving import (
     BatchEvaluator,
     ItemKind,
     ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     Workload,
 )
 from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate_naive
 from repro.xmltree.tree import XTree
 
-from .conftest import identical_answers, twig_queries, xml, xnode_trees
+from .conftest import (
+    identical_answers,
+    in_process_backends,
+    small_graphs,
+    twig_queries,
+    xml,
+    xnode_trees,
+)
 
 
-def _in_process_executors():
-    return [SerialExecutor(), ThreadExecutor(3)]
-
+@pytest.fixture(scope="module")
+def process_executor():
+    with ProcessExecutor(2) as executor:
+        yield executor
 
 
 # ---------------------------------------------------------------------------
-# Property: batched twig answers == sequential engine answers, all executors
+# Property: batched twig answers == sequential engine answers, all backends
 # ---------------------------------------------------------------------------
 
 
@@ -43,16 +50,14 @@ def _in_process_executors():
 @given(st.lists(xnode_trees(max_depth=4, max_children=3), min_size=1,
                 max_size=4),
        twig_queries(max_depth=3))
-def test_batch_twig_matches_sequential_engine(trees, query):
+def test_batch_twig_matches_sequential_engine(process_executor, trees,
+                                              query):
     docs = [XTree(t) for t in trees]
     engine = Engine()
     serial = [engine.evaluate_twig(query, d) for d in docs]
-    for executor in _in_process_executors():
-        with executor:
-            batch = BatchEvaluator(
-                engine=engine,
-                executor=executor).evaluate_twig_batch(query, docs)
-            assert identical_answers(batch, serial), executor.name
+    for backend in in_process_backends(engine, process_executor):
+        batch = backend.evaluate_twig_batch(query, docs)
+        assert identical_answers(batch, serial), backend
     # The naive reference agrees too (same ids, same order).
     assert [[id(n) for n in a] for a in serial] == \
         [[id(n) for n in evaluate_naive(query, d)] for d in docs]
@@ -61,72 +66,46 @@ def test_batch_twig_matches_sequential_engine(trees, query):
 @settings(max_examples=40, deadline=None)
 @given(xnode_trees(max_depth=4, max_children=3),
        st.lists(twig_queries(max_depth=3), min_size=1, max_size=5))
-def test_batch_queries_over_one_document(tree, queries):
+def test_batch_queries_over_one_document(process_executor, tree, queries):
     doc = XTree(tree)
     engine = Engine()
     serial = [engine.evaluate_twig(q, doc) for q in queries]
-    for executor in _in_process_executors():
-        with executor:
-            batch = BatchEvaluator(
-                engine=engine,
-                executor=executor).evaluate_queries(queries, doc)
-            assert identical_answers(batch, serial), executor.name
+    workload = Workload.twig_queries(queries, doc)
+    for backend in in_process_backends(engine, process_executor):
+        batch = backend.run(workload).answers
+        assert identical_answers(batch, serial), backend
     # One document => one shard => one index snapshot.
-    assert len(Workload.twig_queries(queries, doc).shards()) == 1
-
-
-@st.composite
-def small_graphs(draw) -> Graph:
-    g = Graph()
-    n = draw(st.integers(2, 5))
-    for v in range(n):
-        g.add_vertex(v)
-    for _ in range(draw(st.integers(0, 10))):
-        g.add_edge(draw(st.integers(0, n - 1)),
-                   draw(st.sampled_from("abc")),
-                   draw(st.integers(0, n - 1)))
-    return g
+    assert len(workload.shards()) == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_graphs(), min_size=1, max_size=3),
        st.sampled_from(("a", "a.b", "a+", "(a|b)*", "a*.b")))
-def test_batch_rpq_matches_sequential_and_naive(graphs, regex_text):
+def test_batch_rpq_matches_sequential_and_naive(process_executor, graphs,
+                                                regex_text):
     query = parse_regex(regex_text)
     engine = Engine()
     serial = [engine.evaluate_rpq(query, g) for g in graphs]
     assert serial == [evaluate_rpq_naive(query, g) for g in graphs]
-    for executor in _in_process_executors():
-        with executor:
-            assert BatchEvaluator(
-                engine=engine,
-                executor=executor).evaluate_rpq_batch(query, graphs) == serial
+    for backend in in_process_backends(engine, process_executor):
+        assert backend.evaluate_rpq_batch(query, graphs) == serial, backend
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("ab"), max_size=4), min_size=1,
                 max_size=8))
-def test_batch_accepts_matches_sequential(words):
+def test_batch_accepts_matches_sequential(process_executor, words):
     query = PathQuery.parse("a+.b?")
     engine = Engine()
     tuples = [tuple(w) for w in words]
     serial = [engine.accepts(query, w) for w in tuples]
-    for executor in _in_process_executors():
-        with executor:
-            assert BatchEvaluator(
-                engine=engine,
-                executor=executor).accepts_batch(query, tuples) == serial
+    for backend in in_process_backends(engine, process_executor):
+        assert backend.accepts_batch(query, tuples) == serial, backend
 
 
 # ---------------------------------------------------------------------------
 # The process executor: picklable shard tasks, identity-preserving decode
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    with ProcessExecutor(2) as executor:
-        yield executor
 
 
 def test_process_executor_twig_identity(process_executor):
@@ -138,7 +117,7 @@ def test_process_executor_twig_identity(process_executor):
     serial = [engine.evaluate_twig(query, d) for d in docs]
     batch = BatchEvaluator(
         engine=engine,
-        executor=process_executor).evaluate_twig_batch(query, docs)
+        executor=process_executor).run(Workload.twig(query, docs)).answers
     # Same *objects*: workers return pre-order positions, never copies.
     assert identical_answers(batch, serial)
 
@@ -173,7 +152,7 @@ def test_process_executor_random_parity(process_executor, trees, query):
     serial = [engine.evaluate_twig(query, d) for d in docs]
     batch = BatchEvaluator(
         engine=engine,
-        executor=process_executor).evaluate_twig_batch(query, docs)
+        executor=process_executor).run(Workload.twig(query, docs)).answers
     assert identical_answers(batch, serial)
 
 
@@ -202,23 +181,23 @@ def test_process_decode_refuses_cross_version_positions():
     evaluator = BatchEvaluator(engine=Engine(),
                                executor=MutatingIsolatedExecutor())
     with pytest.raises(RuntimeError, match="mutated while a process batch"):
-        evaluator.evaluate_twig_batch(parse_twig("//b"), [doc])
+        evaluator.run(Workload.twig(parse_twig("//b"), [doc]))
 
 
-def test_selects_any_and_accepts_any_match_eager_forms():
+def test_selects_any_and_accepts_any_match_eager_forms(process_executor):
     docs = [xml("<a><b><c/></b></a>"), xml("<a><b/></a>"), xml("<a/>")]
     query = parse_twig("//b[c]")
-    evaluator = BatchEvaluator(engine=Engine())
     candidates = [(d, n) for d in docs for n in d.nodes()]
-    assert evaluator.selects_any(query, candidates) == \
-        any(evaluator.selects_batch(query, candidates))
-    assert not evaluator.selects_any(query, [(docs[2], docs[2].root)])
-    assert not evaluator.selects_any(None, candidates)
     pq = PathQuery.parse("a+.b?")
     words = [("b",), ("a", "b"), ()]
-    assert evaluator.accepts_any(pq, words) == \
-        any(evaluator.accepts_batch(pq, words))
-    assert not evaluator.accepts_any(pq, [("b",), ()])
+    for backend in in_process_backends(Engine(), process_executor):
+        assert backend.selects_any(query, candidates) == \
+            any(backend.selects_batch(query, candidates))
+        assert not backend.selects_any(query, [(docs[2], docs[2].root)])
+        assert not backend.selects_any(None, candidates)
+        assert backend.accepts_any(pq, words) == \
+            any(backend.accepts_batch(pq, words))
+        assert not backend.accepts_any(pq, [("b",), ()])
 
 
 def test_workload_shards_group_by_instance_in_first_seen_order():
@@ -236,7 +215,7 @@ def test_workload_shards_group_by_instance_in_first_seen_order():
     assert shards[1].items[0].instance is d2
 
 
-def test_accepts_workload_splits_into_subshards():
+def test_accepts_workload_splits_into_subshards(process_executor):
     # Acceptance items share no instance snapshot, so a one-query scan
     # over many words must spread over multiple shards (parallelisable),
     # while answers stay aligned with word order.
@@ -248,44 +227,39 @@ def test_accepts_workload_splits_into_subshards():
     assert sorted(i for s in shards for i in s.indices) == list(range(150))
     engine = Engine()
     serial = [engine.accepts(query, w) for w in words]
-    for executor in _in_process_executors():
-        with executor:
-            assert BatchEvaluator(
-                engine=engine,
-                executor=executor).accepts_batch(query, words) == serial
+    for backend in in_process_backends(engine, process_executor):
+        assert backend.accepts_batch(query, words) == serial, backend
 
 
-def test_empty_workload_and_empty_candidates():
+def test_empty_workload_and_empty_candidates(process_executor):
     evaluator = BatchEvaluator(engine=Engine())
     result = evaluator.run(Workload())
     assert len(result) == 0 and result.n_shards == 0
-    assert evaluator.selects_batch(parse_twig("/a"), []) == []
-    assert evaluator.selects_batch(None, []) == []
+    for backend in in_process_backends(Engine(), process_executor):
+        assert backend.selects_batch(parse_twig("/a"), []) == []
+        assert backend.selects_batch(None, []) == []
 
 
-def test_selects_batch_matches_engine_selects():
+def test_selects_batch_matches_engine_selects(process_executor):
     docs = [xml("<a><b><c/></b><b/></a>"), xml("<a><b><c/><c/></b></a>")]
     query = parse_twig("//b[c]")
     engine = Engine()
     candidates = [(d, n) for d in docs for n in d.nodes()]
     serial = [engine.selects(query, d, n) for d, n in candidates]
-    for executor in _in_process_executors():
-        with executor:
-            evaluator = BatchEvaluator(engine=engine, executor=executor)
-            assert evaluator.selects_batch(query, candidates) == serial
-            # No hypothesis selects nothing (the session's starting state).
-            assert evaluator.selects_batch(None, candidates) == \
-                [False] * len(candidates)
+    for backend in in_process_backends(engine, process_executor):
+        assert backend.selects_batch(query, candidates) == serial, backend
+        # No hypothesis selects nothing (the session's starting state).
+        assert backend.selects_batch(None, candidates) == \
+            [False] * len(candidates)
 
 
-def test_evaluator_map_preserves_order():
+def test_evaluator_map_preserves_order(process_executor):
+    """Every in-process backend's ``map`` is order-preserving (arbitrary
+    closures run inline even beside a process pool)."""
     items = list(range(23))
-    for executor in (*_in_process_executors(), ProcessExecutor(2)):
-        with executor:
-            evaluator = BatchEvaluator(engine=Engine(), executor=executor)
-            assert evaluator.map(lambda x: x * x, items) == \
-                [x * x for x in items]
-            assert evaluator.map(lambda x: x, []) == []
+    for backend in in_process_backends(Engine(), process_executor):
+        assert backend.map(lambda x: x * x, items) == [x * x for x in items]
+        assert backend.map(lambda x: x, []) == []
 
 
 def test_workload_concatenation_and_result_alignment():
@@ -327,10 +301,10 @@ def test_worker_instance_cache_survives_parent_mutation_of_live_objects():
 
     g1, g2 = geo(), geo()
     query = parse_regex("road+")
-    [first] = evaluator.evaluate_rpq_batch(query, [g1])
+    [first] = evaluator.run(Workload.rpq(query, [g1])).answers
     assert (0, 2) in first
     g1.add_edge(2, "road", 3)  # bumps g1's version
-    [twin] = evaluator.evaluate_rpq_batch(query, [g2])
+    [twin] = evaluator.run(Workload.rpq(query, [g2])).answers
     assert all(3 not in pair for pair in twin), \
         "answers leaked from the mutated aliased graph"
     assert twin == {(0, 1), (0, 2), (1, 2)}
@@ -339,10 +313,10 @@ def test_worker_instance_cache_survives_parent_mutation_of_live_objects():
     # own on the worker-side wrapper — the cache must hold a snapshot).
     t1, t2 = xml("<a><b/><c/></a>"), xml("<a><b/><c/></a>")
     twig = parse_twig("//b")
-    [nodes] = evaluator.evaluate_twig_batch(twig, [t1])
+    [nodes] = evaluator.run(Workload.twig(twig, [t1])).answers
     assert len(nodes) == 1
     t1.root.add(t1.root.children[0].copy())  # now two <b>s in t1
     t1.invalidate()
-    [twin_nodes] = evaluator.evaluate_twig_batch(twig, [t2])
+    [twin_nodes] = evaluator.run(Workload.twig(twig, [t2])).answers
     assert len(twin_nodes) == 1
     assert twin_nodes[0] is list(t2.nodes())[1]

@@ -23,13 +23,19 @@ from repro.serving import (
     ProcessExecutor,
     SerialExecutor,
     ShardAnswer,
-    ThreadExecutor,
     Workload,
 )
+from repro.serving.executors import ShardExecutor
 from repro.twig.parse import parse_twig
 from repro.xmltree.tree import XTree
 
-from .conftest import identical_answers, twig_queries, xml, xnode_trees
+from .conftest import (
+    identical_answers,
+    in_process_backends,
+    twig_queries,
+    xml,
+    xnode_trees,
+)
 
 
 class RecordingSerialExecutor(SerialExecutor):
@@ -75,7 +81,7 @@ def test_async_run_matches_sync_on_every_executor(process_executor):
     workload = _mixed_workload()
     engine = Engine()
     serial = BatchEvaluator(engine=engine).run(workload)
-    for executor in (SerialExecutor(), ThreadExecutor(3), process_executor):
+    for executor in (SerialExecutor(), process_executor):
         evaluator = AsyncBatchEvaluator(engine=engine, executor=executor)
         result = asyncio.run(evaluator.run(workload))
         assert len(result) == len(serial)
@@ -94,8 +100,8 @@ def test_async_twig_batch_property_parity(trees, query):
     docs = [XTree(t) for t in trees]
     engine = Engine()
     serial = [engine.evaluate_twig(query, d) for d in docs]
-    evaluator = AsyncBatchEvaluator(engine=engine, executor=ThreadExecutor(2))
-    batch = asyncio.run(evaluator.evaluate_twig_batch(query, docs))
+    evaluator = AsyncBatchEvaluator(engine=engine)
+    batch = asyncio.run(evaluator.run(Workload.twig(query, docs))).answers
     assert identical_answers(batch, serial)
 
 
@@ -103,7 +109,7 @@ def test_async_stream_partitions_item_positions(process_executor):
     workload = _mixed_workload()
     engine = Engine()
     serial = BatchEvaluator(engine=engine).run(workload)
-    for executor in (SerialExecutor(), ThreadExecutor(3), process_executor):
+    for executor in (SerialExecutor(), process_executor):
         evaluator = AsyncBatchEvaluator(engine=engine, executor=executor)
 
         async def collect():
@@ -162,8 +168,6 @@ def test_async_stream_yields_before_batch_completes():
 def test_async_isolated_mutation_guard_still_raises():
     """The process path's refuse-to-decode-across-versions contract
     survives the async facade."""
-    from repro.serving.executors import ShardExecutor
-
     doc = xml("<a><b><c/></b><b/></a>")
 
     class MutatingIsolatedExecutor(ShardExecutor):
@@ -191,7 +195,7 @@ def test_run_stream_reassembles_run_exactly(process_executor):
     workload = _mixed_workload()
     engine = Engine()
     serial = BatchEvaluator(engine=engine).run(workload)
-    for executor in (SerialExecutor(), ThreadExecutor(3), process_executor):
+    for executor in (SerialExecutor(), process_executor):
         evaluator = BatchEvaluator(engine=engine, executor=executor)
         merged: list = [None] * len(workload)
         n_shards = 0
@@ -204,17 +208,16 @@ def test_run_stream_reassembles_run_exactly(process_executor):
         assert merged[2:] == list(serial.answers[2:]), executor.name
 
 
-def test_selects_stream_matches_selects_batch():
+def test_selects_stream_matches_selects_batch(process_executor):
     docs = [xml("<a><b><c/></b><b/></a>"), xml("<a><b><c/><c/></b></a>"),
             xml("<a/>")]
     query = parse_twig("//b[c]")
     engine = Engine()
     candidates = [(d, n) for d in docs for n in d.nodes()]
-    for executor in (SerialExecutor(), ThreadExecutor(3)):
-        evaluator = BatchEvaluator(engine=engine, executor=executor)
-        expected = evaluator.selects_batch(query, candidates)
+    for backend in in_process_backends(engine, process_executor):
+        expected = backend.selects_batch(query, candidates)
         flags: list = [None] * len(candidates)
-        groups = list(evaluator.selects_stream(query, candidates))
+        groups = list(backend.selects_stream(query, candidates))
         assert len(groups) == len(docs)  # one group per distinct document
         for group in groups:
             for position, sel in group:
@@ -222,10 +225,10 @@ def test_selects_stream_matches_selects_batch():
                 flags[position] = sel
         assert flags == expected
         # None hypothesis: one all-False group, like selects_batch.
-        none_groups = list(evaluator.selects_stream(None, candidates))
+        none_groups = list(backend.selects_stream(None, candidates))
         assert [f for g in none_groups for _, f in g] == \
             [False] * len(candidates)
-        assert list(evaluator.selects_stream(query, [])) == []
+        assert list(backend.selects_stream(query, [])) == []
 
 
 def test_selects_stream_first_group_before_batch_completes():
@@ -234,8 +237,8 @@ def test_selects_stream_first_group_before_batch_completes():
     docs = [xml(f"<a>{'<b/>' * (i + 1)}</a>") for i in range(4)]
     candidates = [(d, n) for d in docs for n in d.nodes()]
     recorder = RecordingSerialExecutor()
-    evaluator = BatchEvaluator(engine=Engine(), executor=recorder)
-    stream = evaluator.selects_stream(parse_twig("//b"), candidates)
+    backend = BatchedBackend(engine=Engine(), executor=recorder)
+    stream = backend.selects_stream(parse_twig("//b"), candidates)
     first_group = next(stream)
     assert first_group  # real answers arrived...
     assert recorder.submits < len(docs)  # ...before the batch finished
@@ -244,21 +247,20 @@ def test_selects_stream_first_group_before_batch_completes():
     flags = [None] * len(candidates)
     for position, sel in (pair for g in [first_group, *rest] for pair in g):
         flags[position] = sel
-    assert flags == evaluator.selects_batch(parse_twig("//b"), candidates)
+    assert flags == backend.selects_batch(parse_twig("//b"), candidates)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("ab"), max_size=4), min_size=1,
                 max_size=140))
-def test_accepts_stream_matches_accepts_batch(words):
+def test_accepts_stream_matches_accepts_batch(process_executor, words):
     query = PathQuery.parse("a+.b?")
     engine = Engine()
     tuples = [tuple(w) for w in words]
-    for executor in (SerialExecutor(), ThreadExecutor(2)):
-        evaluator = BatchEvaluator(engine=engine, executor=executor)
-        expected = evaluator.accepts_batch(query, tuples)
+    for backend in in_process_backends(engine, process_executor):
+        expected = backend.accepts_batch(query, tuples)
         flags: list = [None] * len(tuples)
-        for group in evaluator.accepts_stream(query, tuples):
+        for group in backend.accepts_stream(query, tuples):
             for position, acc in group:
                 assert flags[position] is None
                 flags[position] = acc
@@ -267,17 +269,16 @@ def test_accepts_stream_matches_accepts_batch(words):
 
 def test_map_stream_matches_map(process_executor):
     items = list(range(37))
-    for executor in (SerialExecutor(), ThreadExecutor(3), process_executor):
-        evaluator = BatchEvaluator(engine=Engine(), executor=executor)
+    for backend in in_process_backends(Engine(), process_executor):
         out: list = [None] * len(items)
-        groups = list(evaluator.map_stream(lambda x: x * x, items))
+        groups = list(backend.map_stream(lambda x: x * x, items))
         assert len(groups) > 1  # finer than one monolithic chunk
         for group in groups:
             for position, value in group:
                 assert out[position] is None
                 out[position] = value
         assert out == [x * x for x in items]
-        assert list(evaluator.map_stream(lambda x: x, []))  == []
+        assert list(backend.map_stream(lambda x: x, [])) == []
 
 
 def test_streaming_session_identical_to_batch_baseline():
@@ -308,21 +309,15 @@ def test_streaming_session_identical_to_batch_baseline():
 
 
 @pytest.mark.parametrize("width", [0, -1, -8])
-def test_thread_executor_rejects_nonpositive_width(width):
-    with pytest.raises(ValueError, match="max_workers must be a positive"):
-        ThreadExecutor(width)
-
-
-@pytest.mark.parametrize("width", [0, -1, -8])
 def test_process_executor_rejects_nonpositive_width(width):
     with pytest.raises(ValueError, match="max_workers must be a positive"):
         ProcessExecutor(width)
 
 
 def test_explicit_one_worker_is_respected():
-    with ThreadExecutor(1) as executor:
+    with ProcessExecutor(1) as executor:
         assert executor.parallelism() == 1
-        assert executor.map(lambda chunk: chunk, [(1,), (2,)]) == [(1,), (2,)]
+        assert executor.map(abs, [-1, 2]) == [1, 2]
 
 
 def test_base_submit_runs_inline_and_carries_exceptions():
@@ -349,8 +344,17 @@ def test_gated_stream_yields_completed_shards_while_queued():
     docs = [xml(f"<a><b{i}/></a>") for i in range(3)]
     workload = Workload.twig(parse_twig("//a"), docs)
 
+    class WideIsolatedExecutor(ShardExecutor):
+        # Wider than the gate, and isolated so the facade awaits the
+        # plan's futures instead of offloading their submission.
+        isolated = True
+        name = "wide"
+
+        def parallelism(self):
+            return 4
+
     async def main():
-        with ThreadExecutor(4) as executor:
+        with WideIsolatedExecutor() as executor:
             evaluator = AsyncBatchEvaluator(engine=Engine(),
                                             executor=executor)
             futures = [concurrent.futures.Future() for _ in range(3)]

@@ -17,7 +17,7 @@ from repro.engine import Engine, LRUCache, get_engine, reset_engine
 from repro.graphdb.graph import Graph
 from repro.graphdb.pathquery import PathQuery
 from repro.graphdb.regex import parse_regex
-from repro.learning.backend import BatchedBackend
+from repro.learning.backend import LocalBackend
 from repro.learning.graph_session import InteractivePathSession
 from repro.learning.interactive import InteractiveJoinSession
 from repro.learning.xml_session import InteractiveTwigSession
@@ -25,8 +25,7 @@ from repro.relational.generator import make_join_instance
 from repro.serving import (
     BatchEvaluator,
     ItemKind,
-    SerialExecutor,
-    ThreadExecutor,
+    ProcessExecutor,
     Workload,
     WorkloadItem,
 )
@@ -215,11 +214,10 @@ def test_reset_engine_during_inflight_batches_is_safe():
             reset_engine()
 
     def batcher():
-        with ThreadExecutor(2) as executor:
-            evaluator = BatchEvaluator(engine=engine, executor=executor)
-            for _ in range(60):
-                answers = evaluator.evaluate_twig_batch(query, docs)
-                assert [[id(n) for n in a] for a in answers] == expected
+        backend = LocalBackend(engine=engine)
+        for _ in range(60):
+            answers = backend.evaluate_twig_batch(query, docs)
+            assert [[id(n) for n in a] for a in answers] == expected
 
     reset_thread = threading.Thread(target=resetter)
     reset_thread.start()
@@ -256,15 +254,14 @@ def test_mutation_mid_batch_is_all_pre_or_all_post_per_shard():
     failures: list[tuple] = []
 
     def batcher():
-        with ThreadExecutor(2) as executor:
-            evaluator = BatchEvaluator(engine=engine, executor=executor)
-            for _ in range(80):
-                counts = {len(a) for a in
-                          evaluator.evaluate_queries(queries, doc)}
-                # All 24 answers come from one snapshot: a single count,
-                # and it is one of the two reachable states.
-                if len(counts) != 1 or not counts <= {pre, post}:
-                    failures.append(tuple(sorted(counts)))
+        evaluator = BatchEvaluator(engine=engine)
+        workload = Workload.twig_queries(queries, doc)
+        for _ in range(80):
+            counts = {len(a) for a in evaluator.run(workload).answers}
+            # All 24 answers come from one snapshot: a single count, and
+            # it is one of the two reachable states.
+            if len(counts) != 1 or not counts <= {pre, post}:
+                failures.append(tuple(sorted(counts)))
 
     toggle_thread = threading.Thread(target=toggler)
     toggle_thread.start()
@@ -307,19 +304,18 @@ def test_graph_mutation_mid_batch_is_all_pre_or_all_post_per_shard():
     failures: list[object] = []
 
     def batcher():
-        with ThreadExecutor(2) as executor:
-            evaluator = BatchEvaluator(engine=engine, executor=executor)
-            workload = Workload([
-                WorkloadItem(ItemKind.RPQ, q, g) for q in queries])
-            for _ in range(80):
-                answers = list(evaluator.run(workload).answers)
-                distinct = {frozenset(a) for a in answers}
-                if len(distinct) != 1:
-                    failures.append(("mixed shard", distinct))
-                    continue
-                snapshot = answers[0]
-                if not (base_pairs <= snapshot <= full_pairs):
-                    failures.append(("impossible state", snapshot))
+        evaluator = BatchEvaluator(engine=engine)
+        workload = Workload([
+            WorkloadItem(ItemKind.RPQ, q, g) for q in queries])
+        for _ in range(80):
+            answers = list(evaluator.run(workload).answers)
+            distinct = {frozenset(a) for a in answers}
+            if len(distinct) != 1:
+                failures.append(("mixed shard", distinct))
+                continue
+            snapshot = answers[0]
+            if not (base_pairs <= snapshot <= full_pairs):
+                failures.append(("impossible state", snapshot))
 
     grow_thread = threading.Thread(target=grower)
     grow_thread.start()
@@ -330,58 +326,6 @@ def test_graph_mutation_mid_batch_is_all_pre_or_all_post_per_shard():
         grow_thread.join()
     assert not failures
     assert engine.evaluate_rpq(queries[0], g) == full_pairs  # no staleness
-
-
-# ---------------------------------------------------------------------------
-# Sessions are executor-invariant (deterministic question sequences)
-# ---------------------------------------------------------------------------
-
-
-def test_twig_session_identical_under_thread_executor():
-    docs = [
-        xml("<site><people><person><name>n</name><phone>1</phone></person>"
-            "<person><name>m</name></person></people></site>"),
-        xml("<site><people><person><name>o</name><phone>2</phone>"
-            "</person></people></site>"),
-    ]
-    goal = parse_twig("//person[phone]/name")
-    baseline = InteractiveTwigSession(
-        docs, goal, backend=BatchedBackend(executor=SerialExecutor())).run()
-    with ThreadExecutor(3) as executor:
-        threaded = InteractiveTwigSession(
-            docs, goal,
-            backend=BatchedBackend(executor=executor)).run()
-    assert threaded.query == baseline.query
-    assert threaded.stats == baseline.stats
-
-
-def test_path_session_identical_under_thread_executor():
-    g = Graph()
-    g.add_edge("s", "road", "m")
-    g.add_edge("m", "road", "t")
-    g.add_edge("s", "rail", "t")
-    g.add_edge("m", "rail", "t")
-    goal = PathQuery.parse("road+")
-    baseline = InteractivePathSession(g, "s", "t", goal).run()
-    with ThreadExecutor(3) as executor:
-        threaded = InteractivePathSession(
-            g, "s", "t", goal,
-            backend=BatchedBackend(executor=executor)).run()
-    assert threaded.query == baseline.query
-    assert threaded.stats == baseline.stats
-
-
-def test_join_session_identical_under_thread_executor():
-    inst = make_join_instance(rng=3, goal_pairs=2, left_rows=8,
-                              right_rows=8, domain=5)
-    baseline = InteractiveJoinSession(inst.left, inst.right, inst.goal,
-                                      max_pool=60, rng=5).run()
-    with ThreadExecutor(3) as executor:
-        threaded = InteractiveJoinSession(
-            inst.left, inst.right, inst.goal, max_pool=60, rng=5,
-            backend=BatchedBackend(executor=executor)).run()
-    assert threaded.predicate == baseline.predicate
-    assert threaded.stats == baseline.stats
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +373,7 @@ def test_sessions_identical_across_all_three_backends():
         return twig, path, join
 
     baseline = run_all(LocalBackend(engine=Engine()))
-    with ThreadExecutor(3) as executor:
+    with ProcessExecutor(2) as executor:
         batched = run_all(BatchedBackend(engine=Engine(),
                                          executor=executor))
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
@@ -506,11 +450,12 @@ def test_admission_gate_queues_fifo_and_never_errors():
     query = parse_twig("//b")
     expected = [1, 2, 1]
     # The executor is deliberately *wider* than the gate: the submission
-    # loop wants 4 shards in flight but only 1 slot exists, so slot
+    # loop wants 2 shards in flight but only 1 slot exists, so slot
     # release must never depend on the consumer loop making progress
     # (regression: releasing from the consumer loop deadlocked every
-    # connection the moment width exceeded the limit).
-    with ThreadExecutor(4) as executor, \
+    # connection the moment width exceeded the limit).  The process
+    # pool forks before the server's threads exist.
+    with ProcessExecutor(2) as executor, \
             ServerThread(AsyncBatchEvaluator(engine=Engine(),
                                              executor=executor),
                          max_inflight_shards=1) as server:

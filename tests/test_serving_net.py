@@ -21,7 +21,6 @@ from repro.serving import (
     ProtocolError,
     SerialExecutor,
     ServerThread,
-    ThreadExecutor,
     Workload,
     WorkloadClient,
     WorkloadCodec,
@@ -192,7 +191,7 @@ def test_shard_answer_codec_is_identity_free_but_identity_restoring():
     server_codec = WorkloadCodec()
     client_codec = WorkloadCodec()
     serial = evaluator.run(workload)
-    for shard_answer in evaluator.run_stream(workload):
+    for shard_answer in evaluator.run_stream(workload, positions_native=True):
         frame = server_codec.encode_shard_answer(workload, shard_answer)
         assert all(isinstance(p, int) for p in frame["answers"][0])
         decoded = client_codec.decode_shard_answer(workload, frame)
@@ -258,19 +257,18 @@ def test_tcp_connection_is_reusable_and_streams_shards(process_server):
     assert merged[3:] == list(first_run.answers[3:])
 
 
-def test_tcp_thread_backend_and_graph_sources(
-):
-    with ThreadExecutor(2) as executor:
-        with ServerThread(
-                AsyncBatchEvaluator(executor=executor)) as server:
-            g = _geo_graph()
-            workload = Workload.rpq(parse_regex("road+"), [g],
-                                    sources=[(0, 0)])
-            local = BatchEvaluator(engine=Engine()).run(workload)
-            with WorkloadClient(*server.address) as client:
-                remote = client.run(workload)
-            assert remote.answers == local.answers
-            assert remote.executor == "remote:thread"
+def test_tcp_thread_backend_and_graph_sources():
+    """A ``ServerThread`` on the default serial executor answers RPQ
+    workloads restricted to explicit source vertices."""
+    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
+        g = _geo_graph()
+        workload = Workload.rpq(parse_regex("road+"), [g],
+                                sources=[(0, 0)])
+        local = BatchEvaluator(engine=Engine()).run(workload)
+        with WorkloadClient(*server.address) as client:
+            remote = client.run(workload)
+        assert remote.answers == local.answers
+        assert remote.executor == "remote:serial"
 
 
 def test_server_reports_errors_without_dropping_connection(process_server):
@@ -348,23 +346,21 @@ def test_server_thread_rejects_bad_bind():
 
 def test_stats_frame_reports_live_server_engine_counters():
     engine = Engine()
-    with ThreadExecutor(2) as executor:
-        with ServerThread(AsyncBatchEvaluator(
-                engine=engine, executor=executor)) as server:
-            with WorkloadClient(*server.address) as client:
-                before = client.stats()
-                assert before["executor"] == "thread"
-                assert before["engine"]["document_builds"] == \
-                    engine.stats()["document_builds"]
-                workload = Workload.twig(parse_twig("//b"),
-                                         [xml("<a><b/></a>")])
-                client.run(workload)
-                after = client.stats()
-                # Live server-side counters: the workload's decoded
-                # document was indexed between the two probes.
-                assert (after["engine"]["document_builds"] ==
-                        before["engine"]["document_builds"] + 1)
-                assert after["engine"] == engine.stats()
+    with ServerThread(AsyncBatchEvaluator(engine=engine)) as server:
+        with WorkloadClient(*server.address) as client:
+            before = client.stats()
+            assert before["executor"] == "serial"
+            assert before["engine"]["document_builds"] == \
+                engine.stats()["document_builds"]
+            workload = Workload.twig(parse_twig("//b"),
+                                     [xml("<a><b/></a>")])
+            client.run(workload)
+            after = client.stats()
+            # Live server-side counters: the workload's decoded
+            # document was indexed between the two probes.
+            assert (after["engine"]["document_builds"] ==
+                    before["engine"]["document_builds"] + 1)
+            assert after["engine"] == engine.stats()
 
 
 def test_client_counts_requests_and_bytes(process_server):
