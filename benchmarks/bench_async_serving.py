@@ -54,7 +54,10 @@ def _identical(batch, serial) -> bool:
     )
 
 
-def test_async_round_trip_speed(benchmark):
+def _async_round(benchmark) -> tuple[float, float]:
+    """Time the sync, async and first-answer rounds, report them, assert
+    answer parity, and return ``(first answer, full batch)`` seconds per
+    round on the async serial path."""
     docs = _corpus()
     query = parse_twig(HYPOTHESIS)
     workload = Workload.twig(query, docs)
@@ -107,6 +110,18 @@ def test_async_round_trip_speed(benchmark):
             title=(f"async serving: one hypothesis over {N_DOCS} XMark "
                    f"documents x {ROUNDS} rounds")))
 
+    return first_per_round, async_per_round
+
+
+def test_async_round_trip_speed(benchmark):
+    """The async rounds (the tier-1 smoke runner): reported, and checked
+    only for what is deterministic — identical answers."""
+    _async_round(benchmark)
+
+
+def test_async_round_trip_speed_bound(benchmark):
+    """The streamed-first-answer gate, asserted in CI's async step."""
+    first_per_round, async_per_round = _async_round(benchmark)
     # The latency contract: the first streamed shard lands well before
     # the full batch would have (width-1 executor => ~1/N of the work).
     assert first_per_round < async_per_round, (

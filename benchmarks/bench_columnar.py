@@ -53,7 +53,9 @@ def _run_workload(evaluator, doc, queries) -> list[tuple[int, ...]]:
     return [tuple(id(n) for n in evaluator(q, doc)) for q in queries]
 
 
-def test_columnar_twig_speedup(benchmark):
+def _twig_round(benchmark) -> float:
+    """Time the twig rounds, report them, assert answer parity, and
+    return the warm speedup over object walking."""
     doc = generate_xmark(scale=0.1, rng=7)
     queries = [parse_twig(text) for text in WORKLOAD]
 
@@ -115,6 +117,18 @@ def test_columnar_twig_speedup(benchmark):
                f"{ROUNDS} rounds (|t|={doc.size()})"),
     )
     record_report("COLUMNAR twig rounds", table)
+    return speedup
+
+
+def test_columnar_twig_speedup(benchmark):
+    """The twig rounds (the tier-1 smoke runner): reported, and checked
+    only for what is deterministic — identical answers."""
+    _twig_round(benchmark)
+
+
+def test_columnar_twig_speedup_bound(benchmark):
+    """The warm-round speedup gate, asserted in CI's columnar step."""
+    speedup = _twig_round(benchmark)
     assert speedup >= WARM_SPEEDUP_BAR, (
         f"warm columnar rounds only {speedup:.1f}x faster than the "
         f"object-walking baseline (bar: {WARM_SPEEDUP_BAR:.0f}x)")

@@ -89,7 +89,9 @@ def test_engine_cache_speedup(benchmark):
         f"warm engine rounds only {speedup:.1f}x faster than the naive path")
 
 
-def test_engine_rpq_cache_speedup(benchmark):
+def _rpq_round(benchmark) -> float:
+    """Time the RPQ calls, report them, assert answer parity, and
+    return the warm speedup over the naive path."""
     from repro.graphdb.geo import make_geo_graph
     from repro.graphdb.regex import parse_regex
     from repro.graphdb.rpq import evaluate_rpq, evaluate_rpq_naive
@@ -124,4 +126,16 @@ def test_engine_rpq_cache_speedup(benchmark):
         title=f"engine cache: RPQ over geo graph {graph!r}",
     )
     record_report("ENGINE-cache-rpq repeated evaluation", table)
+    return speedup
+
+
+def test_engine_rpq_cache_speedup(benchmark):
+    """The RPQ calls (the tier-1 smoke runner): reported, and checked
+    only for what is deterministic — identical answers."""
+    _rpq_round(benchmark)
+
+
+def test_engine_rpq_cache_speedup_bound(benchmark):
+    """The warm RPQ speedup gate, asserted in CI's engine cache step."""
+    speedup = _rpq_round(benchmark)
     assert speedup >= 5.0, f"warm RPQ only {speedup:.1f}x faster"

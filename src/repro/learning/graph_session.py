@@ -94,7 +94,7 @@ class InteractivePathSession:
 
     def _implied_negative(self, hypothesis: PathQuery | None, word: Word,
                           negatives: list[Word]) -> bool:
-        if hypothesis is None:
+        if hypothesis is None or not negatives:
             return False
         widened = lgg_path(hypothesis, normalize(PathQuery.of_word(word)))
         return self.backend.accepts_any(widened, negatives)

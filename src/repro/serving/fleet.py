@@ -27,13 +27,17 @@ Failure and elasticity reuse the content-addressed negotiation:
 * the router keeps an :class:`~repro.serving.instance_cache.InstanceStore`
   of **encoded records** it has seen, so a member's ``need_instances``
   is usually answered from the router without bothering the client;
+* a ``delta`` record in a workload frame is applied to the cached base
+  record by the same code a server uses (decode, replay through the
+  tracked mutators, verify the digest, re-encode), so a mutated instance
+  that re-hashes to another member ships to it from the router;
 * a member that dies mid-request (connection drop, kill -9) is removed
   from the ring and its *unanswered* positions are re-dispatched to the
   survivors — already-delivered answers are never re-sent, so delivery
   stays exactly-once and the client sees a complete, error-free stream;
-* ``drain``/``undrain`` frames take a member out of (back into) the
-  ring without touching in-flight work, so a rolling restart never
-  fails a session.
+* ``drain``/``undrain`` frames naming a member take it out of (back
+  into) the ring without touching in-flight work, so a rolling restart
+  never fails a session.
 
 The cost model is the ring's: re-hashing after a membership change moves
 only the departed member's digests, and each moved digest costs exactly
@@ -58,8 +62,12 @@ from repro.serving.net import EndpointThread, WorkloadClient, WorkloadServer
 from repro.serving.ring import DEFAULT_REPLICAS, HashRing
 from repro.serving.wire import (
     ProtocolError,
-    apply_record_delta,
+    apply_delta_copy,
+    checked_record_digest,
     decode_delta,
+    decode_instance_record,
+    encode_instance_record,
+    instance_fingerprint,
     read_frame,
     record_digest,
     reinit_after_fork,
@@ -142,7 +150,6 @@ class FleetRouter:
         self.record_store = InstanceStore(record_cache_bytes)
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()  # lock-free: loop only
-        self.draining = False  # lock-free: only touched on the loop thread
         #: Observability counters (loop-thread only).
         self.requests = 0  # lock-free: only touched on the loop thread
         self.shards_forwarded = 0  # lock-free: loop thread only
@@ -309,7 +316,7 @@ class FleetRouter:
             await self._serve_stats(writer, upstreams)
             return
         if kind == "ping":
-            write_frame(writer, {"type": "ok", "draining": self.draining})
+            write_frame(writer, {"type": "ok"})
             await writer.drain()
             return
         if kind in ("drain", "undrain"):
@@ -321,9 +328,6 @@ class FleetRouter:
             return
         if kind == "put_instances":
             await self._serve_put_instances(frame, writer, upstreams)
-            return
-        if kind == "delta":
-            await self._serve_put_deltas(frame, writer, upstreams)
             return
         if kind is not None:
             write_frame(writer, {"type": "error",
@@ -389,37 +393,22 @@ class FleetRouter:
     async def _serve_drain(self, kind: str, frame: dict,
                            writer: asyncio.StreamWriter) -> None:
         member_id = frame.get("member")
-        if member_id is not None:
-            member = self._members.get(member_id)
-            if member is None:
-                write_frame(writer, {
-                    "type": "error",
-                    "message": f"unknown fleet member {member_id!r}"})
-                await writer.drain()
-                return
-            if kind == "drain":
-                member.draining = True
-                self._ring.remove(member_id)
-            else:
-                member.draining = False
-                if member.healthy:
-                    self._ring.add(member_id)
-            write_frame(writer, {"type": "ok", "member": member_id,
-                                 "draining": member.draining})
+        member = self._members.get(member_id)
+        if member is None:
+            write_frame(writer, {
+                "type": "error",
+                "message": f"unknown fleet member {member_id!r}"})
             await writer.drain()
             return
-        # No member named: drain/undrain the router's own listener,
-        # exactly like a single WorkloadServer.
         if kind == "drain":
-            if self._server is not None and not self.draining:
-                self._server.close()
-                self.draining = True
+            member.draining = True
+            self._ring.remove(member_id)
         else:
-            if self.draining:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self.host, self.port)
-                self.draining = False
-        write_frame(writer, {"type": "ok", "draining": self.draining})
+            member.draining = False
+            if member.healthy:
+                self._ring.add(member_id)
+        write_frame(writer, {"type": "ok", "member": member_id,
+                             "draining": member.draining})
         await writer.drain()
 
     def _ring_payload(self) -> dict:
@@ -483,15 +472,16 @@ class FleetRouter:
     def patch_record(self, delta: dict) -> dict | None:
         """The full record for a decoded delta's target digest, or ``None``.
 
-        Applies the diff to the router's cached *encoded* record for the
-        base digest (:func:`~repro.serving.wire.apply_record_delta` — no
-        instance is ever materialised router-side), verifies the patched
-        record hashes to the promised target digest, and caches it under
-        that digest.  The base record stays cached too: it is still a
-        correct encoding of the *old* state, unlike a server's patched
-        instance.  Any failure — base unknown, inapplicable ops, digest
-        mismatch — returns ``None`` and lets the member/client
-        ``need_instances`` negotiation repair the gap.
+        Decodes the cached base record and patches the instance with
+        :func:`~repro.serving.wire.apply_delta_copy`, the applier a
+        server uses on a contended base: it replays the ops through the
+        tracked mutators and checks the promised target digest.  The
+        re-encoded result is cached under that digest.  The base record
+        stays cached too: it is still a correct encoding of the *old*
+        state.
+        Any failure — base unknown, inapplicable ops, digest mismatch —
+        returns ``None`` and lets the member/client ``need_instances``
+        negotiation repair the gap.
         """
         to_digest = delta["to"]
         cached = self.record_store.get(to_digest)
@@ -501,110 +491,14 @@ class FleetRouter:
         if not isinstance(base, dict):
             return None
         try:
-            patched = apply_record_delta(base, delta)
-            actual, size = record_digest(patched)
-            if actual != to_digest:
-                return None
+            patched = apply_delta_copy(decode_instance_record(base), delta)
         except ProtocolError:
             return None
-        patched = {**patched, "digest": to_digest}
-        self.record_store.put(to_digest, patched, size)
+        record = {**encode_instance_record(patched), "digest": to_digest}
+        self.record_store.put(to_digest, record,
+                              instance_fingerprint(patched)[1])
         self.deltas_patched += 1
-        return patched
-
-    async def _serve_put_deltas(
-            self, frame: dict, writer: asyncio.StreamWriter,
-            upstreams: dict[str, tuple[asyncio.StreamReader,
-                                       asyncio.StreamWriter]]) -> None:
-        """Patch the record cache, then forward each delta to the ring
-        owner of its *target* digest.
-
-        A member that cannot apply a forwarded delta (base evicted, or
-        the target re-hashed onto a member that never held the base)
-        reports the target digest missing; the router re-ships the full
-        patched record from its own cache — one hop, no client round
-        trip.  Only digests the router cannot supply either surface in
-        the reply's ``missing`` list for the client's full-record
-        fallback.
-        """
-        records = frame.get("instances")
-        if not isinstance(records, list) \
-                or not all(isinstance(r, dict) for r in records):
-            write_frame(writer, {"type": "error",
-                                 "message": "malformed delta frame"})
-            await writer.drain()
-            return
-        try:
-            entries = []  # (to_digest, delta record, patched full | None)
-            for record in records:
-                delta = decode_delta(record)
-                entries.append((delta["to"], record,
-                                self.patch_record(delta)))
-        except ProtocolError as exc:
-            write_frame(writer, {"type": "error", "message": str(exc)})
-            await writer.drain()
-            return
-        applied: list[str] = []
-        missing: list[str] = []
-        remaining = entries
-        while remaining:
-            if not len(self._ring):
-                write_frame(writer, {"type": "error",
-                                     "message": "no live fleet members"})
-                await writer.drain()
-                return
-            assignment: dict[str, list[tuple[str, dict, dict | None]]] = {}
-            for entry in remaining:
-                owner = self._ring.node_for(entry[0])
-                assignment.setdefault(owner, []).append(entry)
-            remaining = []
-            for member_id, group in assignment.items():
-                try:
-                    up_reader, up_writer = await self._upstream(member_id,
-                                                                upstreams)
-                    write_frame(up_writer, {
-                        "type": "delta",
-                        "instances": [record for _, record, _ in group]})
-                    await up_writer.drain()
-                    reply = await read_frame(up_reader)
-                except (_MemberDown, OSError, ProtocolError):
-                    self._mark_down(member_id, upstreams)
-                    remaining.extend(group)
-                    continue
-                if not (isinstance(reply, dict)
-                        and reply.get("type") == "ok"):
-                    self._mark_down(member_id, upstreams)
-                    remaining.extend(group)
-                    continue
-                member_missing = set(reply.get("missing") or ())
-                fulls: list[dict] = []
-                for to_digest, _, patched in group:
-                    if to_digest not in member_missing:
-                        applied.append(to_digest)
-                    elif patched is not None:
-                        fulls.append(patched)
-                    else:
-                        missing.append(to_digest)
-                if not fulls:
-                    continue
-                try:
-                    write_frame(up_writer, {"type": "put_instances",
-                                            "instances": fulls})
-                    await up_writer.drain()
-                    reply = await read_frame(up_reader)
-                except (OSError, ProtocolError):
-                    self._mark_down(member_id, upstreams)
-                    missing.extend(r["digest"] for r in fulls)
-                    continue
-                if isinstance(reply, dict) and reply.get("type") == "ok":
-                    self.reships += len(fulls)
-                    applied.extend(r["digest"] for r in fulls)
-                else:
-                    self._mark_down(member_id, upstreams)
-                    missing.extend(r["digest"] for r in fulls)
-        write_frame(writer, {"type": "ok", "applied": applied,
-                             "missing": missing})
-        await writer.drain()
+        return record
 
     def _checked_records(self, frame: dict) -> list[tuple[str, dict]]:
         """Digest-verify and cache every record of a ``put_instances``."""
@@ -616,12 +510,7 @@ class FleetRouter:
             if not isinstance(record, dict) or "digest" not in record:
                 raise ProtocolError(
                     "put_instances records must carry a digest")
-            digest = record["digest"]
-            actual, size = record_digest(record)
-            if digest != actual:
-                raise ProtocolError(
-                    f"instance digest mismatch: announced {digest!r}, "
-                    f"encoded body hashes to {actual!r}")
+            digest, size = checked_record_digest(record)
             self.record_store.put(digest, record, size)
             out.append((digest, record))
         return out
@@ -746,15 +635,9 @@ class _WorkloadCall:
                 if patched is not None:
                     self.records[digest] = patched
             elif kind in ("tree", "graph"):
-                actual, size = record_digest(record)
-                digest = record.get("digest")
-                if digest is None:
-                    digest = actual
+                digest, size = checked_record_digest(record)
+                if "digest" not in record:
                     record = {**record, "digest": digest}
-                elif digest != actual:
-                    raise ProtocolError(
-                        f"instance digest mismatch: announced {digest!r}, "
-                        f"encoded body hashes to {actual!r}")
                 self.inst_digests.append(digest)
                 self.records[digest] = record
                 self.shipped.add(digest)

@@ -73,11 +73,12 @@ from repro.serving.wire import (
     WorkloadCodec,
     apply_delta_copy,
     apply_delta_to_instance,
-    delta_record_for,
+    # Not called here: perfbench's traced run wraps delta shipping at
+    # this lookup site too, and refuses to start when it is missing.
+    delta_record_for,  # noqa: F401
     instance_digest,
     instance_fingerprint,
     read_frame,
-    record_digest,
     recv_frame_counted,
     send_frame_blocking,
     write_frame,
@@ -234,10 +235,9 @@ class WorkloadServer:
     that port — the same JSON as the wire ``stats`` frame, scrapeable
     with stdlib tooling alone.
 
-    A ``drain`` frame stops the listener (new connections are refused;
-    established ones keep being served) so a fleet member can be
-    restarted without failing sessions; ``undrain`` re-binds it, and
     ``ping`` answers ``ok`` — the health probe the fleet router uses.
+    The other fleet-control frames (``drain``/``undrain`` of a member,
+    ``ring``) are a router's and get an ``error`` frame here.
     """
 
     def __init__(self, evaluator: AsyncBatchEvaluator | None = None, *,
@@ -260,8 +260,6 @@ class WorkloadServer:
             else ShardGate(max_inflight_shards,
                            per_owner=max_inflight_per_connection)
         self.stats_port = stats_port
-        #: True once a ``drain`` frame stopped the listener.
-        self.draining = False
         self._server: asyncio.base_events.Server | None = None
         self._stats_server: asyncio.base_events.Server | None = None
         # lock-free: connection-handler tasks register/unregister on the
@@ -497,7 +495,6 @@ class WorkloadServer:
             "instance_cache": self.instance_store.stats(),
             "prefetch": {**self._prefetch,
                          "pending": len(self._prefetch_pending)},
-            "draining": self.draining,
             "admission": {
                 "max_inflight_shards":
                     None if self._gate is None else self._gate.limit,
@@ -560,43 +557,18 @@ class WorkloadServer:
             return
         if kind == "ping":
             # Health probe: alive and reading frames — that is the answer.
-            write_frame(writer, {"type": "ok", "draining": self.draining})
+            write_frame(writer, {"type": "ok"})
             await writer.drain()
             return
-        if kind in ("drain", "undrain") and frame.get("member") is not None:
-            # Member-targeted drains are a router concept; a single
-            # server has no ring to take members out of.
+        if kind in ("drain", "undrain", "ring"):
+            # Fleet control is a router concept; a single server has no
+            # ring to take members out of or to report.
+            what = "no ring to report" if kind == "ring" else \
+                f"no member {frame.get('member')!r} to {kind}"
             write_frame(writer, {
                 "type": "error",
                 "message": "this endpoint is a single WorkloadServer, "
-                           "not a fleet router — no member "
-                           f"{frame.get('member')!r} to {kind}"})
-            await writer.drain()
-            return
-        if kind == "drain":
-            # Graceful stop: close the listener (new connections refused)
-            # while every established connection keeps being served, so a
-            # fleet member can be restarted without failing sessions.
-            if self._server is not None and not self.draining:
-                self._server.close()
-                self.draining = True
-            write_frame(writer, {"type": "ok", "draining": self.draining})
-            await writer.drain()
-            return
-        if kind == "undrain":
-            # Resume accepting: re-bind the listener on the same address.
-            if self.draining:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self.host, self.port)
-                self.draining = False
-            write_frame(writer, {"type": "ok", "draining": self.draining})
-            await writer.drain()
-            return
-        if kind == "ring":
-            write_frame(writer, {
-                "type": "error",
-                "message": "this endpoint is a single WorkloadServer, "
-                           "not a fleet router — no ring to report"})
+                           f"not a fleet router — {what}"})
             await writer.drain()
             return
         if kind == "put_instances":
@@ -605,22 +577,6 @@ class WorkloadServer:
                 stored = WorkloadCodec().decode_put_instances(
                     frame, self.instance_store)
                 write_frame(writer, {"type": "ok", "stored": len(stored)})
-            except Exception as exc:  # noqa: BLE001 - surfaced to the peer
-                write_frame(writer, {"type": "error", "message": str(exc)})
-            await writer.drain()
-            return
-        if kind == "delta":
-            # Proactive delta push: patch stored instances forward to
-            # their post-mutation digests.  Unresolvable diffs (base
-            # evicted, digest mismatch) come back in ``missing`` so the
-            # pusher re-ships those in full — degradation, not failure.
-            try:
-                codec = WorkloadCodec()
-                codec.set_delta_applier(self._delta_applier_for(codec))
-                applied, missing = codec.decode_delta_frame(
-                    frame, self.instance_store)
-                write_frame(writer, {"type": "ok", "applied": applied,
-                                     "missing": missing})
             except Exception as exc:  # noqa: BLE001 - surfaced to the peer
                 write_frame(writer, {"type": "error", "message": str(exc)})
             await writer.drain()
@@ -813,13 +769,6 @@ class EndpointThread:
     def address(self) -> tuple[str, int]:
         return self._endpoint.host, self._endpoint.port
 
-    def call_soon(self, fn, *args) -> None:
-        """Schedule ``fn`` on the endpoint's loop (thread-safe)."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("endpoint thread is not running")
-        loop.call_soon_threadsafe(fn, *args)
-
     def run_coroutine(self, coro):
         """Run a coroutine on the endpoint's loop; returns its result."""
         loop = self._loop
@@ -987,7 +936,7 @@ class WorkloadClient:
             self._connect()
         else:
             # The first dial is a request like any other: a peer that is
-            # briefly down (restarting member, router re-binding) costs
+            # briefly down (a restarting server or fleet member) costs
             # backoff, not an error.
             retry.call(self._connect, on_retry=self._count_retry)
 
@@ -1398,81 +1347,6 @@ class WorkloadClient:
             known_digests.update(digests)
         return digests
 
-    def push_deltas(self, instances: Sequence[object], *,
-                    known_digests: set[str]) -> dict:
-        """Ship mutated instances forward as structural diffs.
-
-        For every instance whose *current* digest the server does not
-        hold but whose edit log reaches back to a digest in
-        ``known_digests``, one ``delta`` record goes out on a single
-        ``delta`` frame; diffs the server cannot apply (base evicted,
-        log too old) are re-shipped as full records in one follow-up
-        ``put_instances``.  ``known_digests`` ends up containing every
-        instance's current digest either way.  Returns ``{"applied":
-        [...], "reshipped": [...], "already_known": [...]}``.
-
-        Retry-safe: a replay whose deltas were already applied finds
-        their bases rekeyed away and gets those digests back in
-        ``missing``, so they re-ship as full records — degradation,
-        never failure.
-        """
-        self._require_usable()
-        return self._with_retry(
-            lambda: self._push_deltas_once(instances,
-                                           known_digests=known_digests))
-
-    def _push_deltas_once(self, instances: Sequence[object], *,
-                          known_digests: set[str]) -> dict:
-        self._drain_pending_response()
-        codec = WorkloadCodec()
-        records: list[dict] = []
-        full: list[str] = []
-        already: list[str] = []
-        seen: set[str] = set()
-        for instance in instances:
-            digest = codec.register_instance(instance)
-            if digest in seen:
-                continue
-            seen.add(digest)
-            if digest in known_digests:
-                already.append(digest)
-                continue
-            _, size = instance_fingerprint(instance)
-            delta = delta_record_for(instance, digest, size, known_digests)
-            if delta is None:
-                full.append(digest)
-                continue
-            records.append(delta)
-            self.bytes_saved += size - record_digest(delta)[1]
-        applied: list[str] = []
-        if records:
-            reply = self._request_reply_once(
-                codec.encode_delta_frame(records), expect="ok")
-            self.deltas_shipped += len(records)
-            applied = [d for d in reply.get("applied", ())
-                       if isinstance(d, str)]
-            for digest in reply.get("missing", ()):
-                if isinstance(digest, str) and digest not in full:
-                    full.append(digest)
-                    self.bytes_saved -= instance_fingerprint(
-                        codec.instance_for(digest))[1]
-        if full:
-            self._send(codec.encode_put_instances(full))
-            self.requests += 1
-            self.instances_shipped += len(full)
-            frame = self._recv()
-            if frame is None:
-                raise self._dead_transport("server closed mid-response")
-            kind = frame.get("type") if isinstance(frame, dict) else None
-            if kind == "error":
-                raise self._server_error(frame)
-            if kind != "ok":
-                raise self._unrecoverable(f"unexpected frame {frame!r}")
-        known_digests.update(applied)
-        known_digests.update(full)
-        return {"applied": applied, "reshipped": full,
-                "already_known": already}
-
     def stats(self) -> dict:
         """The server's live engine statistics (one ``stats`` round trip).
 
@@ -1528,29 +1402,23 @@ class WorkloadClient:
         raise self._unrecoverable(f"unexpected frame {frame!r}")
 
     # ------------------------------------------------------------------
-    # Fleet control plane.  A plain WorkloadServer answers ping/drain/
-    # undrain too (ring is router-only), so health checks and rolling
-    # restarts work the same against one server or a whole fleet.
+    # Fleet control plane.  A plain WorkloadServer answers ping too, so
+    # health checks work the same against one server or a whole fleet;
+    # drain/undrain/ring are router-only.
     def ping(self) -> dict:
-        """Liveness probe; the reply carries the endpoint's drain state."""
+        """Liveness probe (an empty reply)."""
         return self._request_reply({"type": "ping"}, expect="ok")
 
-    def drain(self, member: str | None = None) -> dict:
-        """Graceful drain.  Against a :class:`WorkloadServer`, stop
-        accepting new connections (existing ones finish).  Against a
-        router with ``member=<id>``, take that fleet member out of the
-        ring — in-flight work finishes, new work rehashes elsewhere."""
-        payload: dict = {"type": "drain"}
-        if member is not None:
-            payload["member"] = member
-        return self._request_reply(payload, expect="ok")
+    def drain(self, member: str) -> dict:
+        """Take fleet member ``member`` out of a router's ring: its
+        in-flight work finishes, new work rehashes elsewhere."""
+        return self._request_reply({"type": "drain", "member": member},
+                                   expect="ok")
 
-    def undrain(self, member: str | None = None) -> dict:
-        """Reverse :meth:`drain`: resume accepting (or re-ring a member)."""
-        payload: dict = {"type": "undrain"}
-        if member is not None:
-            payload["member"] = member
-        return self._request_reply(payload, expect="ok")
+    def undrain(self, member: str) -> dict:
+        """Reverse :meth:`drain`: put ``member`` back into the ring."""
+        return self._request_reply({"type": "undrain", "member": member},
+                                   expect="ok")
 
     def ring(self) -> dict:
         """A router's ring report: members, health, and digest counts."""

@@ -23,9 +23,10 @@ Answers travel identity-free, exactly like
 :class:`~repro.serving.evaluator.ShardTask` results inside the process
 executor: twig answers as pre-order positions (the client maps them onto
 *its own* node objects), RPQ answers as vertex-id pairs, acceptance
-answers as booleans.  :class:`WorkloadDecoder` (client side) and
-:class:`WorkloadCodec` (server side) hold the per-instance position maps
-needed for that decode.
+answers as booleans.  :class:`WorkloadCodec` serves both ends: the
+client's codec holds the per-instance pre-order node lists that decode
+positions, and the server's copies the engine's positions straight into
+shard frames.
 
 Instances are **content-addressed**: every full instance record carries a
 structural digest (:func:`instance_digest` — SHA-256 over the canonical
@@ -44,7 +45,6 @@ evaluation round.
 from __future__ import annotations
 
 import asyncio
-import copy as _copy
 import hashlib
 import json
 import socket
@@ -85,9 +85,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Top-level frame ``"type"`` tags (workload request frames carry no
 #: ``type`` key — any untagged dict frame is a workload).  ``ping`` /
 #: ``drain`` / ``undrain`` / ``ring`` are the fleet-control frames: a
-#: health probe (answered ``ok``), the graceful stop/resume of a
-#: listener or fleet member (answered ``ok``), and the ring-membership
-#: view a :class:`~repro.serving.fleet.FleetRouter` serves.
+#: health probe (answered ``ok``), taking a named fleet member out of or
+#: back into the ring (answered ``ok``), and the ring-membership view.
+#: Only a :class:`~repro.serving.fleet.FleetRouter` serves the last
+#: three; a single server answers them with an ``error`` frame.
 FRAME_TYPES = frozenset({
     "shard", "done", "error", "stats", "ok",
     "need_instances", "put_instances",
@@ -96,9 +97,7 @@ FRAME_TYPES = frozenset({
 
 #: Instance/query record ``"type"`` tags inside workload frames.
 #: ``delta`` is a structural diff keyed ``(from digest -> to digest)``;
-#: the same tag doubles as the standalone delta-push frame's ``type``
-#: (a frame carrying only delta records), so it lives in exactly one
-#: registry as the disjointness rule requires.
+#: it travels only in a workload frame's ``instances`` table.
 RECORD_TYPES = frozenset({"tree", "graph", "ref", "path", "regex",
                           "delta"})
 
@@ -449,6 +448,20 @@ def encode_instance_record(instance: object) -> dict:
     raise ProtocolError(f"unencodable instance {type(instance).__name__}")
 
 
+def decode_instance_record(record: dict) -> object:
+    """The instance a full wire record encodes (:func:`encode_instance_record`
+    inverse; a ``digest`` field is ignored)."""
+    kind = record.get("type")
+    if kind == "tree":
+        root = record.get("root")
+        if not isinstance(root, dict):
+            raise ProtocolError("malformed document record: no root node")
+        return XTree(_decode_tree(root))
+    if kind == "graph":
+        return _decode_graph(record)
+    raise ProtocolError(f"unknown instance type {kind!r}")
+
+
 def _canonical_record_bytes(record: dict) -> bytes:
     """The digestable form: sorted-key compact JSON, ``digest`` excluded."""
     if "digest" in record:
@@ -461,6 +474,23 @@ def record_digest(record: dict) -> tuple[str, int]:
     """``(digest, encoded_size)`` of a wire instance record."""
     body = _canonical_record_bytes(record)
     return hashlib.sha256(body).hexdigest(), len(body)
+
+
+def checked_record_digest(record: dict) -> tuple[str, int]:
+    """:func:`record_digest` of a full record, verified against the
+    ``digest`` the record announces (a record announcing none passes).
+
+    Every peer runs this before a received record enters a shared cache,
+    so a client bug can cost itself wrong refs but never poison another
+    session's entry.
+    """
+    actual, size = record_digest(record)
+    announced = record.get("digest", actual)
+    if announced != actual:
+        raise ProtocolError(
+            f"instance digest mismatch: announced {announced!r}, "
+            f"encoded body hashes to {actual!r}")
+    return actual, size
 
 
 # Per-instance ``version -> (digest, size)`` memo, weakly keyed so a dead
@@ -674,104 +704,6 @@ def apply_delta_to_instance(instance: object, delta: dict) -> None:
         raise
     except Exception as exc:
         raise ProtocolError(f"delta does not apply: {exc}") from exc
-
-
-def _record_node_at(record: dict, path: Sequence[int]) -> dict:
-    node = record
-    for index in path:
-        try:
-            node = node["children"][index]
-        except (KeyError, IndexError, TypeError):
-            raise ProtocolError(
-                f"delta path {list(path)!r} falls off the record") from None
-    return node
-
-
-def apply_record_delta(record: dict, delta: dict) -> dict:
-    """Patch an *encoded* instance record (digest field excluded) with a
-    decoded delta, returning a new record; the input is not mutated.
-
-    This is the router's path: it caches encoded records, not decoded
-    instances, so a delta for a cached digest can be applied — and the
-    resulting digest verified — without ever materialising the
-    instance.  The patched tree record reproduces the encoder's shape
-    exactly (``text``/``children`` keys omitted when empty), so digests
-    computed from it match digests computed from the patched instance.
-    """
-    out = _copy.deepcopy(record)
-    out.pop("digest", None)
-    try:
-        if delta["target"] == "tree":
-            root = out["root"]
-            for op in delta["ops"]:
-                name = op.get("op")
-                path = op.get("path", ())
-                if name == "insert":
-                    parent = _record_node_at(root, path)
-                    parent.setdefault("children", []).insert(
-                        op["index"], _copy.deepcopy(op["node"]))
-                elif name == "delete":
-                    parent = _record_node_at(root, path[:-1])
-                    children = parent.get("children")
-                    if children is None:
-                        raise ProtocolError(
-                            "delta delete path falls off the record")
-                    del children[path[-1]]
-                    if not children:
-                        del parent["children"]
-                elif name == "relabel":
-                    node = _record_node_at(root, path)
-                    node["label"] = op["label"]
-                    if op.get("text") is None:
-                        node.pop("text", None)
-                    else:
-                        node["text"] = op["text"]
-                else:
-                    raise ProtocolError(f"unknown tree edit op {name!r}")
-        else:
-            vertices = out["vertices"]
-            edges = out["edges"]
-            for op in delta["ops"]:
-                name = op.get("op")
-                if name == "add_vertex":
-                    v = op["v"]
-                    for entry in vertices:
-                        if entry[0] == v:
-                            entry[1].update(op.get("props", {}))
-                            break
-                    else:
-                        vertices.append([v, dict(op.get("props", {}))])
-                elif name == "add_edge":
-                    key = (op["src"], op["label"], op["dst"])
-                    for entry in edges:
-                        if (entry[0], entry[1], entry[2]) == key:
-                            entry[3].update(op.get("props", {}))
-                            break
-                    else:
-                        edges.append([op["src"], op["label"], op["dst"],
-                                      dict(op.get("props", {}))])
-                elif name == "remove_edge":
-                    key = (op["src"], op["label"], op["dst"])
-                    for i, entry in enumerate(edges):
-                        if (entry[0], entry[1], entry[2]) == key:
-                            del edges[i]
-                            break
-                    else:
-                        raise ProtocolError(
-                            f"delta removes unknown edge {key!r}")
-                elif name == "remove_vertex":
-                    v = op["v"]
-                    vertices[:] = [e for e in vertices if e[0] != v]
-                    edges[:] = [e for e in edges
-                                if e[0] != v and e[2] != v]
-                else:
-                    raise ProtocolError(f"unknown graph edit op {name!r}")
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"delta does not apply to record: {exc}") \
-            from exc
-    return out
 
 
 def apply_delta_copy(base: object, delta: dict) -> object:
@@ -1013,38 +945,24 @@ class WorkloadCodec:
         return {"type": "put_instances", "instances": records}
 
     # -- decoding side ---------------------------------------------------
-    @staticmethod
-    def _decode_instance_record(record: dict) -> object:
-        kind = record.get("type")
-        if kind == "tree":
-            return XTree(_decode_tree(record["root"]))
-        if kind == "graph":
-            return _decode_graph(record)
-        raise ProtocolError(f"unknown instance type {kind!r}")
-
     def _resolve_record(self, record: dict,
                         store: InstanceStoreLike | None) -> object:
         """Decode one full record, canonicalised through ``store``.
 
-        The digest is *verified* against the record body before anything
-        enters the store — a client bug can cost itself wrong refs, but
-        it can never poison another session's cache entry.
+        The digest is verified against the record body
+        (:func:`checked_record_digest`) before anything enters the store.
         """
         digest = record.get("digest")
         if store is None or digest is None:
-            return self._decode_instance_record(record)
+            return decode_instance_record(record)
         cached = self._resolved_by_digest.get(digest)
         if cached is None:
             cached = store.get(digest)
         if cached is not None:
             self._resolved_by_digest[digest] = cached
             return cached
-        actual, size = record_digest(record)
-        if actual != digest:
-            raise ProtocolError(
-                f"instance digest mismatch: announced {digest!r}, "
-                f"encoded body hashes to {actual!r}")
-        instance = self._decode_instance_record(record)
+        _, size = checked_record_digest(record)
+        instance = decode_instance_record(record)
         store.put(digest, instance, size)
         self._resolved_by_digest[digest] = instance
         return instance
@@ -1084,33 +1002,6 @@ class WorkloadCodec:
             store.put(to_digest, instance, size)
         self._resolved_by_digest[to_digest] = instance
         return instance
-
-    def encode_delta_frame(self, records: Sequence[dict]) -> dict:
-        """A standalone delta-push frame (the ``put_instances`` of the
-        delta path): apply these diffs ahead of future workloads."""
-        return {"type": "delta", "instances": list(records)}
-
-    def decode_delta_frame(
-            self, obj: dict,
-            store: InstanceStoreLike | None) -> tuple[list[str], list[str]]:
-        """Apply every delta of a delta-push frame.
-
-        Returns ``(applied, missing)`` target digests; missing ones are
-        reported back so the pusher can fall back to full records.
-        """
-        try:
-            records = obj["instances"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed delta frame: {exc}") from exc
-        applied: list[str] = []
-        missing: list[str] = []
-        for record in records:
-            if not isinstance(record, dict):
-                raise ProtocolError("delta frame entries must be records")
-            instance = self._resolve_delta(record, store, missing)
-            if instance is not None:
-                applied.append(record.get("to"))
-        return applied, missing
 
     def decode_put_instances(self, obj: dict,
                              store: InstanceStoreLike | None) -> list[str]:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.engine import Engine
 from repro.errors import LearningError
 from repro.graphdb.geo import make_geo_graph
 from repro.graphdb.pathquery import PathQuery
+from repro.learning.backend import LocalBackend, RemoteBackend
 from repro.learning.graph_session import InteractivePathSession
 from repro.learning.path_learner import (
     check_path_consistency,
@@ -13,6 +15,7 @@ from repro.learning.path_learner import (
     normalize,
 )
 from repro.learning.workload import WorkloadPriors
+from repro.serving import AsyncBatchEvaluator, ServerThread, WorkloadClient
 
 
 def q(text):
@@ -135,3 +138,31 @@ def test_priors_do_not_hurt_convergence():
     if base.questions_to_convergence and primed.questions_to_convergence:
         assert primed.questions_to_convergence <= \
             base.questions_to_convergence + 1
+
+
+def test_remote_session_sends_no_empty_workload(monkeypatch):
+    """Before the first negative answer no pending word can be implied
+    negative, so the session must not probe: over the wire each probe
+    is a round trip carrying an empty workload."""
+    sizes: list[int] = []
+    stream = WorkloadClient.stream
+
+    def counting_stream(self, workload, **options):
+        sizes.append(len(workload))
+        return stream(self, workload, **options)
+
+    monkeypatch.setattr(WorkloadClient, "stream", counting_stream)
+    g = make_geo_graph(rng=1, width=5, height=4)
+    goal = q("highway+")
+
+    def session(backend):
+        return InteractivePathSession(
+            g, "city_0_0", "city_3_0", goal, max_length=8,
+            max_candidates=80, backend=backend).run()
+
+    baseline = session(LocalBackend(Engine()))
+    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server, \
+            RemoteBackend(*server.address) as backend:
+        remote = session(backend)
+    assert remote.stats == baseline.stats
+    assert sizes and 0 not in sizes

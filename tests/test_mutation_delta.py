@@ -3,9 +3,10 @@
 Round-trip property: any edit script through the tracked mutators,
 encoded from the instance's own edit log, JSON-serialised, decoded, and
 applied to a pristine copy of the base, reproduces the mutated instance
-— both as a live instance (:func:`apply_delta_copy`) and as an encoded
-record patched without ever materialising the instance
-(:func:`apply_record_delta`), with digests agreeing at every corner.
+— both as a live instance (:func:`apply_delta_copy`) and as the encoded
+record a fleet router patches in its record cache
+(:meth:`FleetRouter.patch_record`), with digests agreeing at every
+corner.
 
 The delta path is an optimisation layered on the content-addressed
 protocol, never a correctness dependency: these suites are what lets
@@ -22,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.version import instance_version
+from repro.serving.fleet import FleetRouter
 from repro.serving.wire import (
     ProtocolError,
     apply_delta_copy,
-    apply_record_delta,
     decode_delta,
     delta_record_for,
     encode_delta,
@@ -44,6 +45,37 @@ from .conftest import (
 from .test_engine_columnar import small_graphs
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _router_holding(instance: object) -> FleetRouter:
+    """A router (never started) whose record cache holds ``instance``,
+    encoded as it arrives off the wire."""
+    router = FleetRouter({"m0": ("127.0.0.1", 1)})
+    digest, size = instance_fingerprint(instance)
+    record = json.loads(json.dumps(encode_instance_record(instance)))
+    router.record_store.put(digest, {**record, "digest": digest}, size)
+    return router
+
+
+def _patch_through_router(instance: object, seed: int, count: int,
+                          edit) -> None:
+    """Edit ``instance``, patch the router's cached base record with the
+    delta, and check the patched record against the live mutation."""
+    router = _router_holding(instance)
+    d0 = instance_digest(instance)
+    base_record = router.record_store.get(d0)
+    v0 = instance_version(instance)
+    edit(instance, random.Random(seed), count)
+    d1 = instance_digest(instance)
+    delta = decode_delta(json.loads(json.dumps(
+        encode_delta(instance, d0, d1, instance.edits_since(v0)))))
+    patched = router.patch_record(delta)
+    assert patched is not None and patched["digest"] == d1
+    assert record_digest(patched)[0] == d1
+    assert router.record_store.get(d1) is patched
+    # The base record is still cached and still encodes the old state.
+    assert router.record_store.get(d0) is base_record
+    assert record_digest(base_record)[0] == d0
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +108,9 @@ def test_tree_delta_roundtrip_reproduces_the_mutation(tree, seed, count):
 @settings(max_examples=60, deadline=None)
 @given(xnode_trees(max_depth=4, max_children=3), SEEDS, st.integers(1, 6))
 def test_tree_record_patch_matches_instance_digest(tree, seed, count):
-    """The router's path: patching the *encoded* record (never
-    materialising a tree) lands on the same digest as the live
-    mutation."""
-    doc = XTree(tree)
-    base_record = encode_instance_record(doc)
-    d0 = instance_digest(doc)
-    v0 = instance_version(doc)
-    random_tree_edits(doc, random.Random(seed), count)
-    delta = decode_delta(json.loads(json.dumps(
-        encode_delta(doc, d0, instance_digest(doc),
-                     doc.edits_since(v0)))))
-    patched_record = apply_record_delta(base_record, delta)
-    assert record_digest(patched_record)[0] == instance_digest(doc)
-    # apply_record_delta never mutates its input.
-    assert record_digest({k: v for k, v in base_record.items()
-                          if k != "digest"})[0] == d0
+    """The router's path: patching its cached *encoded* record lands on
+    the same digest as the live mutation."""
+    _patch_through_router(XTree(tree), seed, count, random_tree_edits)
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +138,7 @@ def test_graph_delta_roundtrip_reproduces_the_mutation(graph, seed, count):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), SEEDS, st.integers(1, 6))
 def test_graph_record_patch_matches_instance_digest(graph, seed, count):
-    base_record = encode_instance_record(graph)
-    d0 = instance_digest(graph)
-    v0 = instance_version(graph)
-    random_graph_edits(graph, random.Random(seed), count)
-    delta = decode_delta(json.loads(json.dumps(
-        encode_delta(graph, d0, instance_digest(graph),
-                     graph.edits_since(v0)))))
-    patched_record = apply_record_delta(base_record, delta)
-    assert record_digest(patched_record)[0] == instance_digest(graph)
+    _patch_through_router(graph, seed, count, random_graph_edits)
 
 
 # ---------------------------------------------------------------------------
@@ -207,5 +218,27 @@ def test_record_patch_rejects_paths_off_the_record():
     delta = {"target": "tree", "from": "x", "to": "y",
              "ops": [{"op": "relabel", "path": [7], "label": "z",
                       "text": None}]}
-    with pytest.raises(ProtocolError, match="falls off the record"):
-        apply_record_delta(encode_instance_record(doc), delta)
+    with pytest.raises(ProtocolError, match="delta does not apply"):
+        apply_delta_copy(doc, delta)
+
+
+def test_router_patch_declines_what_it_cannot_verify():
+    """Unknown base, an op off the tree, a lying target digest: the
+    router returns no record and counts no patch, leaving the gap to
+    the ``need_instances`` negotiation."""
+    doc = _big_doc("router")
+    router = _router_holding(doc)
+    d0 = instance_digest(doc)
+    v0 = instance_version(doc)
+    doc.relabel_node(doc.root.children[0].children[0], text="edited")
+    good = decode_delta(encode_delta(doc, d0, instance_digest(doc),
+                                     doc.edits_since(v0)))
+    relabel_off_tree = {"op": "relabel", "path": [99], "label": "z",
+                        "text": None}
+    for delta in ({**good, "from": "0" * len(d0)},
+                  {**good, "ops": [relabel_off_tree]},
+                  {**good, "to": "0" * len(d0)}):
+        assert router.patch_record(delta) is None
+        assert router.deltas_patched == 0
+    assert router.patch_record(good) is not None
+    assert router.deltas_patched == 1

@@ -11,6 +11,8 @@ dying mid-session is a performance event, never a client-visible error.
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.engine import Engine
@@ -26,7 +28,11 @@ from repro.serving import (
     Workload,
     WorkloadClient,
 )
-from repro.serving.wire import instance_digest
+from repro.serving.wire import (
+    instance_digest,
+    recv_frame_blocking,
+    send_frame_blocking,
+)
 from repro.twig.parse import parse_twig
 from repro.xmltree.tree import XTree, node
 
@@ -183,7 +189,7 @@ def test_router_put_instances_warms_the_owning_members(fleet):
 def test_fleet_ping_reports_live(fleet):
     with fleet.client() as client:
         reply = client.ping()
-    assert reply["draining"] is False
+    assert reply == {}
 
 
 def test_fleet_health_check_all_live(fleet):
@@ -281,6 +287,21 @@ def test_member_drain_frame_on_plain_server_is_rejected(fleet):
             direct.ring()
 
 
+def test_router_refuses_drains_naming_no_known_member(fleet):
+    with fleet.client() as client:
+        with pytest.raises(ProtocolError, match="unknown fleet member"):
+            client.drain(member="nobody")
+    # A drain naming no member is refused the same way: the router has
+    # no listener drain, so it keeps accepting connections.
+    with socket.create_connection(fleet.address) as sock:
+        send_frame_blocking(sock, {"type": "drain"})
+        reply = recv_frame_blocking(sock)
+    assert reply["type"] == "error"
+    assert "unknown fleet member" in reply["message"]
+    with fleet.client() as client:
+        assert all(m["in_ring"] for m in client.ring()["members"])
+
+
 # ---------------------------------------------------------------------------
 # Delta shipping through the router (mutation-heavy traffic)
 # ---------------------------------------------------------------------------
@@ -364,26 +385,6 @@ def test_same_owner_delta_patches_in_place(fleet):
         assert client.deltas_shipped >= 1
         assert after["deltas_patched"] == before["deltas_patched"] + 1
         assert after["reships"] == before["reships"]
-
-
-def test_push_deltas_through_the_router(fleet):
-    """The standalone delta-push frame fans out to ring owners and
-    reports applied digests; a later workload round sends refs only."""
-    query = parse_twig("//item[price]/name")
-    with fleet.client() as client:
-        registry: set[str] = set()
-        doc = _mutation_doc("push")
-        client.run(Workload.twig(query, [doc]), known_digests=registry)
-        doc.relabel_node(doc.root.children[-1], label="e", text="pushed")
-        report = client.push_deltas([doc], known_digests=registry)
-        assert report["applied"] or report["reshipped"]
-        shipped = client.instances_shipped
-        result = client.run(Workload.twig(query, [doc]),
-                            known_digests=registry)
-        assert client.instances_shipped == shipped
-        local = BatchEvaluator(engine=Engine()).run(
-            Workload.twig(query, [doc]))
-        assert identical_answers(result.answers, local.answers)
 
 
 # ---------------------------------------------------------------------------
