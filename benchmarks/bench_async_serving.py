@@ -3,17 +3,17 @@
 Three numbers frame the new front-end:
 
 * **async round trip** — ``asyncio.run(AsyncBatchEvaluator.run(w))``
-  versus the synchronous ``BatchEvaluator.run(w)`` on the same executor:
-  the facade's event-loop scheduling overhead on a warm corpus (answers
-  are asserted identical first);
+  versus the synchronous ``BatchEvaluator.run(w)``: the facade's
+  event-loop scheduling overhead on a warm corpus (answers are asserted
+  identical first);
 * **streamed first answer** — how long until the *first* shard's answers
   are usable versus waiting on the whole batch: the latency win the
-  streaming session APIs buy, measured on the width-1 serial executor
-  where the ratio is deterministic (~1/N of the batch);
+  streaming session APIs buy (shards evaluate one at a time, so the
+  ratio is deterministic, ~1/N of the batch);
 * **TCP round trip** — the same workload through the wire format, a
-  localhost socket, and a process-executor server: what a remote client
-  actually pays (JSON encode + evaluate + decode), with answers asserted
-  identical to the local serial path, node objects included.
+  localhost socket, and a server: what a remote client actually pays
+  (JSON encode + evaluate + decode), with answers asserted identical to
+  the local path, node objects included.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.engine import Engine, get_engine
 from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
-    ProcessExecutor,
-    SerialExecutor,
     ServerThread,
     Workload,
     WorkloadClient,
@@ -57,7 +55,7 @@ def _identical(batch, serial) -> bool:
 def _async_round(benchmark) -> tuple[float, float]:
     """Time the sync, async and first-answer rounds, report them, assert
     answer parity, and return ``(first answer, full batch)`` seconds per
-    round on the async serial path."""
+    round on the async path."""
     docs = _corpus()
     query = parse_twig(HYPOTHESIS)
     workload = Workload.twig(query, docs)
@@ -65,11 +63,10 @@ def _async_round(benchmark) -> tuple[float, float]:
     sync_evaluator = BatchEvaluator(engine=engine)
     serial_answers = sync_evaluator.run(workload).answers
 
-    serial_async = AsyncBatchEvaluator(engine=engine,
-                                       executor=SerialExecutor())
+    async_evaluator = AsyncBatchEvaluator(engine=engine)
     # Parity before timing: identical node objects on the async path.
     assert _identical(
-        asyncio.run(serial_async.run(workload)).answers, serial_answers)
+        asyncio.run(async_evaluator.run(workload)).answers, serial_answers)
 
     start = time.perf_counter()
     for _ in range(ROUNDS):
@@ -78,28 +75,27 @@ def _async_round(benchmark) -> tuple[float, float]:
 
     start = time.perf_counter()
     for _ in range(ROUNDS):
-        asyncio.run(serial_async.run(workload))
+        asyncio.run(async_evaluator.run(workload))
     async_per_round = (time.perf_counter() - start) / ROUNDS
 
     result = benchmark.pedantic(
-        lambda: asyncio.run(serial_async.run(workload)),
+        lambda: asyncio.run(async_evaluator.run(workload)),
         rounds=ROUNDS, iterations=1)
     assert _identical(result.answers, serial_answers)
 
-    # Streamed-first-answer latency on the deterministic width-1 path.
+    # Streamed-first-answer latency: only the first shard is evaluated.
     start = time.perf_counter()
     for _ in range(ROUNDS):
-        asyncio.run(serial_async.first_answer(workload))
+        asyncio.run(async_evaluator.first_answer(workload))
     first_per_round = (time.perf_counter() - start) / ROUNDS
 
     rows = [
-        ("sync BatchEvaluator.run, serial executor",
+        ("sync BatchEvaluator.run",
          f"{sync_per_round * 1e3:.3f}", "1.0x"),
-        (f"asyncio AsyncBatchEvaluator.run, serial executor "
-         f"({N_DOCS} shards)",
+        (f"asyncio AsyncBatchEvaluator.run ({N_DOCS} shards)",
          f"{async_per_round * 1e3:.3f}",
          f"{sync_per_round / async_per_round:.1f}x"),
-        ("serial streamed FIRST answer",
+        ("streamed FIRST answer",
          f"{first_per_round * 1e3:.3f}",
          f"{async_per_round / first_per_round:.1f}x sooner"),
     ]
@@ -108,7 +104,10 @@ def _async_round(benchmark) -> tuple[float, float]:
         format_table(
             ["path", "ms / round trip", "vs baseline"], rows,
             title=(f"async serving: one hypothesis over {N_DOCS} XMark "
-                   f"documents x {ROUNDS} rounds")))
+                   f"documents x {ROUNDS} rounds")),
+        metrics={"sync_ms": sync_per_round * 1e3,
+                 "async_ms": async_per_round * 1e3,
+                 "first_answer_ms": first_per_round * 1e3})
 
     return first_per_round, async_per_round
 
@@ -123,7 +122,7 @@ def test_async_round_trip_speed_bound(benchmark):
     """The streamed-first-answer gate, asserted in CI's async step."""
     first_per_round, async_per_round = _async_round(benchmark)
     # The latency contract: the first streamed shard lands well before
-    # the full batch would have (width-1 executor => ~1/N of the work).
+    # the full batch would have (one shard of N => ~1/N of the work).
     assert first_per_round < async_per_round, (
         f"first streamed answer ({first_per_round * 1e3:.3f} ms) not "
         f"sooner than the full batch ({async_per_round * 1e3:.3f} ms)")
@@ -135,29 +134,26 @@ def test_tcp_round_trip_speed(benchmark):
     workload = Workload.twig(query, docs)
     local = BatchEvaluator(engine=Engine()).run(workload)
 
-    # Fork the server's workers before any client threads exist (the
-    # construction-time fork contract in executors.py).
-    with ProcessExecutor(2) as executor:
-        with ServerThread(AsyncBatchEvaluator(executor=executor)) as server:
-            with WorkloadClient(*server.address) as client:
-                remote = client.run(workload)
-                assert _identical(remote.answers, local.answers)
+    with ServerThread(AsyncBatchEvaluator()) as server:
+        with WorkloadClient(*server.address) as client:
+            remote = client.run(workload)
+            assert _identical(remote.answers, local.answers)
 
-                start = time.perf_counter()
-                for _ in range(ROUNDS):
-                    client.run(workload)
-                remote_per_round = (time.perf_counter() - start) / ROUNDS
+            start = time.perf_counter()
+            for _ in range(ROUNDS):
+                client.run(workload)
+            remote_per_round = (time.perf_counter() - start) / ROUNDS
 
-                result = benchmark.pedantic(
-                    lambda: client.run(workload), rounds=5, iterations=1)
-                assert _identical(result.answers, local.answers)
+            result = benchmark.pedantic(
+                lambda: client.run(workload), rounds=5, iterations=1)
+            assert _identical(result.answers, local.answers)
 
     record_report(
         "SERVING-net TCP workload round trip",
         format_table(
             ["path", "ms / round trip"],
-            [("local serial BatchEvaluator (reference)", "see async table"),
-             ("TCP client -> process-executor server",
-              f"{remote_per_round * 1e3:.3f}")],
+            [("local BatchEvaluator (reference)", "see async table"),
+             ("TCP client -> server", f"{remote_per_round * 1e3:.3f}")],
             title=(f"network serving: {len(docs)} XMark documents over "
-                   f"localhost x {ROUNDS} rounds")))
+                   f"localhost x {ROUNDS} rounds")),
+        metrics={"tcp_round_trip_ms": remote_per_round * 1e3})

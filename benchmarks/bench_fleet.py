@@ -5,7 +5,7 @@ Two numbers frame the router tier:
 * **member scaling** — aggregate throughput of concurrent sessions
   against a 1-member fleet versus a 4-member fleet.  Members are
   latency-bound on purpose: each carries ``max_inflight_shards=1`` and
-  an executor that charges a fixed delay per shard, so on any core
+  a shard evaluator that charges a fixed delay per shard, so on any core
   count the ceiling is how many members can be *busy at once* — exactly
   what consistent-hash routing buys.  The acceptance bar is >= 2.5x
   with 4 members (hash imbalance over a finite corpus keeps it off the
@@ -27,7 +27,6 @@ from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
     Fleet,
-    SerialExecutor,
     Workload,
 )
 from repro.twig.parse import parse_twig
@@ -41,8 +40,8 @@ SHARD_DELAY = 0.015  # seconds a member "works" per shard
 HYPOTHESIS = "//b[c]"
 
 
-class _LatencyExecutor(SerialExecutor):
-    """Serial executor that charges a fixed latency per shard.
+class _LatencyEvaluator(BatchEvaluator):
+    """Shard evaluator that charges a fixed latency per shard.
 
     Makes the benchmark deterministic on any machine: a member's
     service rate is 1 shard per :data:`SHARD_DELAY`, so fleet speedup
@@ -50,16 +49,14 @@ class _LatencyExecutor(SerialExecutor):
     delays), not CPU parallelism the host may not have.
     """
 
-    name = "latency"
-
-    def submit(self, fn, *args):
+    def _eval_shard(self, shard, twig_keys, positions_native=False):
         time.sleep(SHARD_DELAY)
-        return super().submit(fn, *args)
+        return super()._eval_shard(shard, twig_keys, positions_native)
 
 
 def _latency_member() -> AsyncBatchEvaluator:
-    # Runs in the forked member process: fresh engine, delayed executor.
-    return AsyncBatchEvaluator(engine=Engine(), executor=_LatencyExecutor())
+    # Runs in the forked member process: fresh engine, delayed shards.
+    return AsyncBatchEvaluator(evaluator=_LatencyEvaluator(engine=Engine()))
 
 
 def _corpus(session: int) -> list:
@@ -127,7 +124,10 @@ def test_fleet_member_scaling(benchmark):
             ["fleet", "ms / concurrent round", "throughput"], rows,
             title=(f"fleet scaling: {N_SESSIONS} concurrent sessions, "
                    f"{n_shards} shards x {SHARD_DELAY * 1e3:.0f} ms "
-                   "service time, max_inflight_shards=1 per member")))
+                   "service time, max_inflight_shards=1 per member")),
+        metrics={"one_member_round_ms": one_member * 1e3,
+                 "four_member_round_ms": four_members * 1e3,
+                 "speedup": speedup})
 
     assert speedup >= 2.5, (
         f"4-member fleet only {speedup:.2f}x over 1 member "
@@ -172,4 +172,6 @@ def test_fleet_failover_round(benchmark):
             [("failover round wall clock", f"{failover_round * 1e3:.1f} ms"),
              ("digests re-shipped (ring rehash cost)", str(reships))],
             title=(f"failover: {len(corpus)} docs, 3 -> 2 members "
-                   "mid-session, refs-only round")))
+                   "mid-session, refs-only round")),
+        metrics={"failover_round_ms": failover_round * 1e3,
+                 "reships": reships})

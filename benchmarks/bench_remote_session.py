@@ -4,16 +4,15 @@ One full interactive twig session (pool scan, implied-label probes,
 question proposal, final propagation) runs against each
 :mod:`repro.learning.backend` implementation:
 
-* **LocalBackend** — in-process evaluation, the serial floor;
-* **BatchedBackend** (serial executor) — the sharded serving path;
+* **LocalBackend** — in-process sharded evaluation, the serial floor;
 * **RemoteBackend** — the same session, unmodified, over a real TCP
   server (wire codec + socket + server-side evaluation per round).
 
 The *assertion* is the seam's whole point: the learned query and the
-complete question sequence (``SessionStats.asked``) are identical on all
-three.  The *numbers* are what a deployment pays for each shape — the
-per-session latency of the local, batched, and remote paths, plus the
-remote round-trip/byte accounting from ``RemoteBackend.stats()``.
+complete question sequence (``SessionStats.asked``) are identical on
+both.  The *numbers* are what a deployment pays for each shape — the
+per-session latency of the local and remote paths, plus the remote
+round-trip/byte accounting from ``RemoteBackend.stats()``.
 
 Since the serving tier went content-addressed, the remote column also
 pins the **ship-once contract**: a session ships each distinct document
@@ -30,11 +29,7 @@ import time
 
 from repro.datasets.xmark import generate_xmark
 from repro.engine import Engine
-from repro.learning.backend import (
-    BatchedBackend,
-    LocalBackend,
-    RemoteBackend,
-)
+from repro.learning.backend import LocalBackend, RemoteBackend
 from repro.learning.xml_session import InteractiveTwigSession
 from repro.serving import AsyncBatchEvaluator, ServerThread
 from repro.twig.parse import parse_twig
@@ -92,11 +87,6 @@ def test_remote_session_backend_invariance_and_latency(benchmark):
     assert baseline.query is not None
     assert baseline.stats.questions > 0
 
-    batched, batched_s = _timed(
-        lambda: _run_session(docs, BatchedBackend(engine=Engine())))
-    assert batched.query == baseline.query
-    assert batched.stats.asked == baseline.stats.asked
-
     server_engine = Engine()
     with ServerThread(AsyncBatchEvaluator(engine=server_engine)) as server:
         def remote_round():
@@ -139,8 +129,6 @@ def test_remote_session_backend_invariance_and_latency(benchmark):
     rows = [
         ("LocalBackend (in-process)", f"{local_s * 1e3:.1f}", "-", "-",
          "1.0x"),
-        ("BatchedBackend (serial)", f"{batched_s * 1e3:.1f}", "-", "-",
-         f"{remote_s / batched_s:.1f}x vs remote"),
         (f"RemoteBackend (TCP, {remote_stats['round_trips']} round trips, "
          f"corpus shipped once, {saved_kib:.0f} KiB saved by refs)",
          f"{remote_s * 1e3:.1f}", f"{kib_up:.0f}",
@@ -157,7 +145,12 @@ def test_remote_session_backend_invariance_and_latency(benchmark):
                    "question sequence asserted on all backends; warm "
                    "sessions ship the corpus once "
                    f"(server instance cache: {cache['hits']} hits / "
-                   f"{cache['misses']} misses)")))
+                   f"{cache['misses']} misses)")),
+        metrics={"local_session_ms": local_s * 1e3,
+                 "remote_session_ms": remote_s * 1e3,
+                 "round_trips": remote_stats["round_trips"],
+                 "kib_up": kib_up,
+                 "index_builds": index_builds})
 
 
 def test_local_backend_session_speed(benchmark):

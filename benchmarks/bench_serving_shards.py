@@ -9,16 +9,9 @@ for one node.  The batch service evaluates the hypothesis **once per
 document shard** and classifies all candidates against cached answer
 id-sets.
 
-Acceptance bar: over N >= 8 instances, the batched round on the serial
-executor is at least 2x faster than the per-candidate loop, with
-classifications and answer lists identical to the serial engine path on
-every executor.
-
-The process executor is measured honestly for the record: it ships each
-shard through a pickle round-trip, so on warm microsecond-scale rounds
-(and on this single-core container, where no real parallelism exists) it
-loses badly — its value is cold fan-out on multi-core hosts, which the
-cold-build row tracks.
+Acceptance bar: over N >= 8 instances, the batched round on
+``LocalBackend`` is at least 2x faster than the per-candidate loop, with
+classifications and answer lists identical to the serial engine path.
 """
 
 from __future__ import annotations
@@ -27,13 +20,8 @@ import time
 
 from repro.datasets.xmark import generate_xmark
 from repro.engine import get_engine, reset_engine
-from repro.learning.backend import BatchedBackend
-from repro.serving import (
-    BatchEvaluator,
-    ProcessExecutor,
-    SerialExecutor,
-    Workload,
-)
+from repro.learning.backend import LocalBackend
+from repro.serving import BatchEvaluator, Workload
 from repro.twig.parse import parse_twig
 from repro.util.tables import format_table
 
@@ -67,20 +55,16 @@ def test_serving_shard_throughput(benchmark):
     engine = get_engine()
     reset_engine()
 
-    process_executor = ProcessExecutor(2)
-    executors = [SerialExecutor(), process_executor]
-
-    # Parity first: on every executor, batch answers are the *same node
-    # objects* in document order as the serial engine loop, and candidate
+    # Parity first: batch answers are the *same node objects* in
+    # document order as the serial engine loop, and candidate
     # classifications match the serial per-candidate loop.
     serial_answers = [engine.evaluate_twig(hypothesis, doc) for doc in docs]
     serial_flags = [engine.selects(hypothesis, doc, node)
                     for doc, node in pool]
-    for executor in executors:
-        backend = BatchedBackend(evaluator=BatchEvaluator(executor=executor))
-        assert _identical_answer_lists(
-            backend.evaluate_twig_batch(hypothesis, docs), serial_answers)
-        assert backend.selects_batch(hypothesis, pool) == serial_flags
+    backend = LocalBackend()
+    assert _identical_answer_lists(
+        backend.evaluate_twig_batch(hypothesis, docs), serial_answers)
+    assert backend.selects_batch(hypothesis, pool) == serial_flags
 
     # Serial loop: the session's pre-serving path, one engine.selects per
     # candidate (warm caches — this is steady interactive state).
@@ -88,70 +72,38 @@ def test_serving_shard_throughput(benchmark):
     for _ in range(ROUNDS):
         for doc, node in pool:
             engine.selects(hypothesis, doc, node)
-    serial_per_round = (time.perf_counter() - start) / ROUNDS
+    loop_per_round = (time.perf_counter() - start) / ROUNDS
 
-    # Batched rounds per executor (same warm state).
-    per_round: dict[str, float] = {}
-    for executor in executors:
-        backend = BatchedBackend(evaluator=BatchEvaluator(executor=executor))
-        backend.selects_batch(hypothesis, pool)  # warm worker pool + caches
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            backend.selects_batch(hypothesis, pool)
-        per_round[executor.name] = (time.perf_counter() - start) / ROUNDS
+    # Batched rounds on the same warm state.
+    start = time.perf_counter()
+    for _ in range(ROUNDS):
+        backend.selects_batch(hypothesis, pool)
+    batched_per_round = (time.perf_counter() - start) / ROUNDS
 
     warm_batch = benchmark.pedantic(
-        lambda: BatchedBackend().selects_batch(hypothesis, pool),
+        lambda: LocalBackend().selects_batch(hypothesis, pool),
         rounds=ROUNDS, iterations=1)
     assert warm_batch == serial_flags
 
-    # Cold fan-out for the record: index builds dominate; the process pool
-    # only pays off here when real cores exist.
-    def cold_serial() -> None:
-        reset_engine()
-        for doc in docs:
-            engine.evaluate_twig(hypothesis, doc)
-
-    start = time.perf_counter()
-    cold_serial()
-    cold_serial_s = time.perf_counter() - start
-    evaluator = BatchEvaluator(executor=process_executor)
-    reset_engine()
-    start = time.perf_counter()
-    evaluator.run(Workload.twig(hypothesis, docs))
-    cold_process_s = time.perf_counter() - start
-
-    speedups = {name: serial_per_round / t for name, t in per_round.items()}
-    rows = [
-        ("serial per-candidate loop (pre-serving sessions)",
-         f"{serial_per_round * 1e3:.3f}", "1.0x"),
-    ]
-    for name in ("serial", "process"):
-        rows.append((f"batched round, {name} executor",
-                     f"{per_round[name] * 1e3:.3f}",
-                     f"{speedups[name]:.1f}x"))
-    rows.append(("cold corpus, serial engine loop",
-                 f"{cold_serial_s * 1e3:.3f}", ""))
-    rows.append(("cold corpus, process fan-out",
-                 f"{cold_process_s * 1e3:.3f}", ""))
+    speedup = loop_per_round / batched_per_round
     table = format_table(
         ["path", "ms / interaction round", "speedup"],
-        rows,
+        [("serial per-candidate loop (pre-serving sessions)",
+          f"{loop_per_round * 1e3:.3f}", "1.0x"),
+         ("batched round, LocalBackend",
+          f"{batched_per_round * 1e3:.3f}", f"{speedup:.1f}x")],
         title=(f"sharded serving: {len(pool)} candidates over {N_DOCS} "
                f"XMark documents x {ROUNDS} rounds"),
     )
     record_report("SERVING-shards batched session round", table,
-                  metrics={"serial_speedup": speedups["serial"],
-                           "process_speedup": speedups["process"]})
-    for executor in executors:
-        executor.close()
+                  metrics={"loop_ms": loop_per_round * 1e3,
+                           "batched_ms": batched_per_round * 1e3,
+                           "serial_speedup": speedup})
 
-    # The acceptance bar: the batched interaction round on the serial
-    # executor is >= 2x the per-candidate loop (the process path needs
-    # real cores for warm microbatches, so it is reported, not gated).
-    assert speedups["serial"] >= 2.0, (
-        f"serial batched round only {speedups['serial']:.1f}x the "
-        "per-candidate loop")
+    # The acceptance bar: the batched interaction round is >= 2x the
+    # per-candidate loop.
+    assert speedup >= 2.0, (
+        f"batched round only {speedup:.1f}x the per-candidate loop")
 
 
 def test_serving_rpq_batch_parity(benchmark):
@@ -165,9 +117,6 @@ def test_serving_rpq_batch_parity(benchmark):
     reset_engine()
     serial = [engine.evaluate_rpq(query, g) for g in graphs]
     workload = Workload.rpq(query, graphs)
-    with ProcessExecutor(2) as processes:
-        assert list(BatchEvaluator(
-            executor=processes).run(workload).answers) == serial
     evaluator = BatchEvaluator()
     assert list(evaluator.run(workload).answers) == serial
     answers = benchmark(lambda: list(evaluator.run(workload).answers))

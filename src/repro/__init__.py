@@ -19,7 +19,8 @@ them (the paper's Figure 1):
 Evaluation is served by :mod:`repro.engine` (per-instance indexes and
 memoisation behind the plain ``evaluate``/``evaluate_rpq`` signatures) and
 batched/sharded by :mod:`repro.serving` (one hypothesis over many
-instances per call, with serial, thread-pool, and process-pool executors).
+instances per call, in-process, on a TCP server, or across a fleet of
+server processes).
 
 Quickstart::
 
@@ -93,8 +94,6 @@ from repro.learning.graph_session import InteractivePathSession
 from repro.exchange import Mapping, run_all_scenarios
 from repro.serving import (
     BatchEvaluator,
-    ProcessExecutor,
-    SerialExecutor,
     Workload,
     WorkloadResult,
 )
@@ -132,7 +131,6 @@ __all__ = [
     # exchange
     "Mapping", "run_all_scenarios",
     # batched serving
-    "BatchEvaluator", "SerialExecutor", "ProcessExecutor",
-    "Workload", "WorkloadResult",
+    "BatchEvaluator", "Workload", "WorkloadResult",
     "__version__",
 ]

@@ -2,12 +2,12 @@
 
 PR 4's load-bearing contract — for every learner and session, the
 learned query, the question sequence, and the returned node objects are
-identical on all three :class:`~repro.learning.backend.EvaluationBackend`
-implementations — holds only because the learning layer has exactly one
+identical on every :class:`~repro.learning.backend.EvaluationBackend`
+implementation — holds only because the learning layer has exactly one
 way to evaluate a hypothesis.  A learner that imports the engine (or the
 engine-backed module-level ``evaluate``/``evaluate_rpq`` wrappers)
 directly would silently pin itself to the local path: it would pass
-every local test and diverge the moment it runs remote or batched.
+every local test and diverge the moment it runs remote.
 
 So: modules under ``repro.learning.*`` — except ``backend.py`` itself,
 which *is* the seam — may not import ``repro.engine`` (any submodule,
@@ -52,7 +52,7 @@ class BackendSeamRule(Rule):
         "get_engine()/Engine.evaluate* directly — all hypothesis "
         "evaluation goes through EvaluationBackend, which is what keeps "
         "learners backend-invariant (same query, same questions, same "
-        "node objects on local/batched/remote)."
+        "node objects on local and remote)."
     )
 
     def check_module(self, module: ModuleInfo,

@@ -194,7 +194,7 @@ class ResourceLifecycleRule(Rule):
                and item.name in CLOSE_METHODS for item in cls.body):
             return True
         # Subclasses of an in-repo base that defines close() (e.g. the
-        # ShardExecutor hierarchy) inherit their cleanup contract.
+        # EvaluationBackend hierarchy) inherit their cleanup contract.
         return bool(cls.bases)
 
     def _name_escapes(self, func: ast.AST, name: str,

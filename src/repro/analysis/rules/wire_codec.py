@@ -1,6 +1,6 @@
 """Rule ``wire-codec``: the wire protocol stays complete and closed.
 
-Three completeness contracts over :mod:`repro.serving.wire` and the
+Two completeness contracts over :mod:`repro.serving.wire` and the
 serving package, each of which has historically only been checked by
 whichever round-trip test happened to exercise the path:
 
@@ -21,13 +21,6 @@ whichever round-trip test happened to exercise the path:
    — must use a registered literal.  An unregistered tag is either a
    typo (the peer will reject it) or a new frame type added without
    updating the registry (so no exhaustiveness check sees it).
-
-3. **ShardTask picklability.**  Every field annotation on the
-   :class:`~repro.serving.evaluator.ShardTask` dataclass must avoid
-   known-unpicklable types (callables, locks, threads, sockets, open
-   files, live iterators) — the process executor pickles tasks, and an
-   unpicklable field only fails at runtime, on the process pool, under
-   load.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ from repro.analysis.core import (
 )
 
 WIRE_MODULE = "repro.serving.wire"
-EVALUATOR_MODULE = "repro.serving.evaluator"
 SERVING_PACKAGE = "repro.serving"
 
 CODEC_RE = re.compile(r"^_?(encode|decode)_(\w+)$")
@@ -59,26 +51,17 @@ TAG_KEYS = {"type": ("FRAME_TYPES", "RECORD_TYPES"),
 #: Registry declaration names the rule looks for in wire.py.
 REGISTRY_NAME_RE = re.compile(r"^[A-Z][A-Z_]*(_TYPES|_KINDS)$")
 
-#: Type names that cannot cross a process boundary inside a ShardTask.
-UNPICKLABLE_NAMES = {
-    "Callable", "Lock", "RLock", "Condition", "Event", "Semaphore",
-    "Thread", "socket", "Socket", "IO", "TextIO", "BinaryIO",
-    "Iterator", "Generator", "AsyncIterator", "Coroutine",
-    "StreamReader", "StreamWriter", "Engine", "LRUCache",
-}
-
 
 @register
 class WireCodecRule(Rule):
     rule_id = "wire-codec"
-    title = "every codec paired, every tag registered, tasks picklable"
+    title = "every codec paired, every tag registered"
     rationale = (
         "In repro.serving.wire every encode_<x> must have a decode_<x> "
         "and vice versa; every frame/record/item tag literal used in the "
         "serving package must appear in exactly one of the declared "
-        "*_TYPES/*_KINDS registries; and ShardTask fields must be "
-        "picklable types (the process executor ships them). Catches "
-        "one-directional codecs and unregistered frame tags statically."
+        "*_TYPES/*_KINDS registries. Catches one-directional codecs and "
+        "unregistered frame tags statically."
     )
 
     # ------------------------------------------------------------------
@@ -95,9 +78,6 @@ class WireCodecRule(Rule):
                 if module.tree is not None:
                     findings.extend(
                         self._check_tag_usage(module, registries))
-        evaluator = project.module(EVALUATOR_MODULE)
-        if evaluator is not None and evaluator.tree is not None:
-            findings.extend(self._check_shard_task(evaluator))
         return findings
 
     # ------------------------------------------------------------------
@@ -223,30 +203,3 @@ class WireCodecRule(Rule):
                         f"comparison against unregistered tag "
                         f"{literal!r} — every frame/record/item tag "
                         f"lives in a {WIRE_MODULE} registry")
-
-    # ------------------------------------------------------------------
-    # 3. ShardTask picklability
-    # ------------------------------------------------------------------
-    def _check_shard_task(self,
-                          evaluator: ModuleInfo) -> Iterator[Finding]:
-        assert evaluator.tree is not None
-        for node in ast.walk(evaluator.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "ShardTask":
-                for stmt in node.body:
-                    if not isinstance(stmt, ast.AnnAssign):
-                        continue
-                    for sub in ast.walk(stmt.annotation):
-                        name = None
-                        if isinstance(sub, ast.Name):
-                            name = sub.id
-                        elif isinstance(sub, ast.Attribute):
-                            name = sub.attr
-                        if name in UNPICKLABLE_NAMES:
-                            field = stmt.target.id if isinstance(
-                                stmt.target, ast.Name) else "?"
-                            yield evaluator.finding(
-                                stmt, self.rule_id,
-                                f"ShardTask.{field} is annotated with "
-                                f"unpicklable type {name!r} — tasks "
-                                f"cross the process-executor boundary "
-                                f"by pickle")

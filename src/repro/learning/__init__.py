@@ -21,15 +21,13 @@ One learner per data model, all sharing the example/oracle vocabulary of
   example, ask the user, propagate uninformative labels, minimise the
   number of interactions.
 * :mod:`repro.learning.backend` — the evaluation seam all of the above
-  run through: :class:`~repro.learning.backend.LocalBackend` (in-process,
-  the default), :class:`~repro.learning.backend.BatchedBackend` (sharded
-  batches on the serial or process executor), and
-  :class:`~repro.learning.backend.RemoteBackend` (a TCP serving tier),
+  run through: :class:`~repro.learning.backend.LocalBackend` (in-process
+  sharded batches, the default) and
+  :class:`~repro.learning.backend.RemoteBackend` (a TCP server or fleet),
   answer-identical by contract.
 """
 
 from repro.learning.backend import (
-    BatchedBackend,
     EvaluationBackend,
     LocalBackend,
     RemoteBackend,
@@ -45,7 +43,6 @@ from repro.learning.union_learner import LearnedUnion, learn_union_twig
 from repro.learning.chain_learner import ChainExample, learn_join_chain
 
 __all__ = [
-    "BatchedBackend",
     "EvaluationBackend",
     "LocalBackend",
     "RemoteBackend",

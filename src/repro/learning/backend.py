@@ -4,49 +4,48 @@ The paper's learning algorithms are defined purely in terms of membership
 answers — *which nodes does this hypothesis select?  does this path query
 accept this word?* — so the learning layer never needs to know **where**
 those answers are computed.  :class:`EvaluationBackend` is that seam: the
-only way learning code evaluates a hypothesis, with three interchangeable
+only way learning code evaluates a hypothesis, with two interchangeable
 implementations:
 
 :class:`LocalBackend`
     In-process evaluation on the caller's thread against one
     :class:`~repro.engine.core.Engine` (indexes and memos shared and
-    warm) — a :class:`BatchedBackend` pinned to the serial executor, and
-    the default of every learner and session.
-
-:class:`BatchedBackend`
-    Wraps a :class:`~repro.serving.evaluator.BatchEvaluator` and its
-    pluggable executor.  Whole candidate generations shard per instance
-    and run inline (serial executor) or on a process pool; streamed
-    shapes surface answers shard-by-shard.
+    warm), through a :class:`~repro.serving.evaluator.BatchEvaluator`:
+    whole candidate generations shard per instance, and streamed shapes
+    surface answers shard-by-shard.  The default of every learner and
+    session.
 
 :class:`RemoteBackend`
     Wraps a :class:`~repro.serving.net.WorkloadClient`, so any learner
     or interactive session runs **unmodified** against a TCP serving
-    tier.  Remote answers decode by pre-order position onto the
-    caller's own node objects, so they are object-identical to a local
-    run — the backend-invariance contract the tests pin: the learned
-    query, the question sequence, and the returned nodes are the same
-    on every backend.
+    tier — one :class:`~repro.serving.net.WorkloadServer` or a
+    :class:`~repro.serving.fleet.Fleet` behind its router.  Remote
+    answers decode by pre-order position onto the caller's own node
+    objects, so they are object-identical to a local run — the
+    backend-invariance contract the tests pin: the learned query, the
+    question sequence, and the returned nodes are the same on every
+    backend.
 
 Every backend exposes the same surface: the workload primitives
 (:meth:`~EvaluationBackend.evaluate_batch`, :meth:`~EvaluationBackend.stream`),
 the membership shapes learners actually call (``selects*``, ``accepts*``),
-an executor-backed :meth:`~EvaluationBackend.map` for non-engine scans
+an order-preserving :meth:`~EvaluationBackend.map` for non-engine scans
 (join-predicate agreement sets, semijoin witness sets), hypothesis
 *construction* helpers (:meth:`~EvaluationBackend.canonical_query`,
 :meth:`~EvaluationBackend.words_between` — always computed client-side:
 they build the hypothesis/pool from local data, they do not evaluate it),
 and end-to-end observability: :meth:`~EvaluationBackend.stats` reports
-batch/item counts plus backend-specific detail (engine cache hit rates
-locally, shard/executor counts batched, round-trips + bytes + live
-server-side engine stats remotely).
+batch/item counts plus backend-specific detail (shard counts and engine
+cache hit rates locally, round-trips + bytes + live server-side engine
+stats remotely).
 
 The derived membership shapes are implemented **once**, here, on top of
 the ``run``/``stream`` primitives — so answer grouping, position
 alignment, and ``None``-hypothesis semantics are identical across
-backends by construction, not by parallel re-implementation.  In-process
-there is one evaluation path: both in-process backends run every shard
-through :class:`~repro.serving.evaluator.BatchEvaluator`.
+backends by construction, not by parallel re-implementation.  There is
+one shard evaluator, :class:`~repro.serving.evaluator.BatchEvaluator`:
+:class:`LocalBackend` runs it in-process, and a server runs it behind
+:class:`RemoteBackend`.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.engine import Engine, LRUCache, get_engine
 from repro.engine.graph import query_key
 from repro.graphdb.graph import Graph, VertexId
 from repro.serving.evaluator import BatchEvaluator
-from repro.serving.executors import ShardExecutor
 from repro.serving.net import WorkloadClient
 from repro.serving.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.serving.wire import (
@@ -82,7 +80,6 @@ Word = tuple[str, ...]
 Candidate = tuple[XTree, XNode]
 
 __all__ = [
-    "BatchedBackend",
     "EvaluationBackend",
     "LRUCache",
     "LocalBackend",
@@ -133,7 +130,7 @@ def candidate_workload(queries: Sequence[TwigQuery],
     every document, grouped per query — the answer for query ``k`` on
     document ``d`` sits at position ``k * len(documents) + d``.  Built
     in one linear pass (no quadratic ``Workload + Workload`` folding)
-    and sharded per document by the batched/remote backends.  Decode
+    and sharded per document by every backend.  Decode
     the result with :func:`candidate_pair_flags`, which owns the other
     half of the layout invariant."""
     return Workload(WorkloadItem(ItemKind.TWIG, query, doc)
@@ -205,8 +202,8 @@ class EvaluationBackend:
         #: queries, candidate-path enumeration) — never remote.
         self.engine = engine if engine is not None else get_engine()
         #: Content-addressing registry: digests of instances the
-        #: backend's evaluation tier already holds.  Local and batched
-        #: backends evaluate in-process against the caller's own objects,
+        #: backend's evaluation tier already holds.  The local backend
+        #: evaluates in-process against the caller's own objects,
         #: so the registry stays empty (there is nothing to ship); the
         #: remote backend shares one registry across its whole connection
         #: pool, which is what makes a session ship each instance once.
@@ -248,8 +245,7 @@ class EvaluationBackend:
 
     def evaluate_batch(self, workload: Workload) -> WorkloadResult:
         """Protocol name for :meth:`run` — one candidate generation in,
-        position-aligned answers out (sharded per instance by the
-        batched and remote backends)."""
+        position-aligned answers out (sharded per instance)."""
         return self.run(workload)
 
     def stream(self, workload: Workload) -> Iterator[ShardAnswer]:
@@ -409,7 +405,7 @@ class EvaluationBackend:
         return any(self.accepts(query, tuple(w)) for w in words)
 
     # ------------------------------------------------------------------
-    # Executor-backed map for non-engine scans
+    # Order-preserving map for non-engine scans
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any],
             items: Sequence[Any]) -> list[Any]:
@@ -488,39 +484,21 @@ class EvaluationBackend:
         return f"<{type(self).__name__} name={self.name}>"
 
 
-class BatchedBackend(EvaluationBackend):
-    """The sharded serving path: one :class:`BatchEvaluator`, any executor.
+class LocalBackend(EvaluationBackend):
+    """In-process evaluation on the caller's thread — every learner's
+    and session's default.
 
-    ``BatchedBackend()`` runs on the serial executor and the shared
-    engine; pass ``executor=ProcessExecutor(...)`` (or a ready evaluator)
-    to spread candidate generations across worker processes.  Ownership
-    follows the construction shape: passing ``executor=`` *parts*
-    transfers the executor to the backend (``close()`` tears it down —
-    the inline ``BatchedBackend(executor=ProcessExecutor(2))`` pattern
-    must not leak a pool), while passing a ready ``evaluator`` keeps its
-    executor with the caller (``close()`` leaves it running for other
-    users).
+    Each shard evaluates inline against one index snapshot of the
+    caller's engine, through the same :class:`BatchEvaluator` shard
+    evaluator a :class:`~repro.serving.net.WorkloadServer` runs.
     """
 
-    name = "batched"
+    name = "local"
 
-    def __init__(self, evaluator: BatchEvaluator | None = None, *,
-                 engine: Engine | None = None,
-                 executor: ShardExecutor | None = None) -> None:
-        if evaluator is not None and (engine is not None
-                                      or executor is not None):
-            raise ValueError(
-                "pass either a ready BatchEvaluator or engine/executor "
-                "parts, not both")
-        self.evaluator = evaluator if evaluator is not None \
-            else BatchEvaluator(engine=engine, executor=executor)
-        self._own_executor = evaluator is None and executor is not None
+    def __init__(self, engine: Engine | None = None) -> None:
+        self.evaluator = BatchEvaluator(engine=engine)
         super().__init__(engine=self.evaluator.engine)
         self._shards = 0
-
-    @property
-    def executor(self) -> ShardExecutor:
-        return self.evaluator.executor
 
     def _run(self, workload: Workload) -> WorkloadResult:
         result = self.evaluator.run(workload)
@@ -533,32 +511,12 @@ class BatchedBackend(EvaluationBackend):
             yield shard_answer
 
     def stats(self) -> dict[str, object]:
-        return {**super().stats(), "executor": self.executor.name,
-                "shards": self._shards, "engine": self.engine.stats()}
+        return {**super().stats(), "shards": self._shards,
+                "engine": self.engine.stats()}
 
     def reset_stats(self) -> None:
         super().reset_stats()
         self._shards = 0
-
-    def close(self) -> None:
-        if self._own_executor:
-            self.executor.close()
-
-
-class LocalBackend(BatchedBackend):
-    """In-process evaluation on the caller's thread — every learner's
-    and session's default.
-
-    A :class:`BatchedBackend` pinned to the serial executor: each shard
-    evaluates inline against one index snapshot of the caller's engine,
-    through the same :class:`BatchEvaluator` shard evaluator as every
-    other in-process path.
-    """
-
-    name = "local"
-
-    def __init__(self, engine: Engine | None = None) -> None:
-        super().__init__(engine=engine)
 
 
 class RemoteBackend(EvaluationBackend):
@@ -908,17 +866,12 @@ class RemoteBackend(EvaluationBackend):
 def as_backend(backend: EvaluationBackend | None = None) -> EvaluationBackend:
     """Resolve the ``backend=`` parameter of every learner and session.
 
-    A ready backend passes through, a bare :class:`BatchEvaluator` in
-    the backend slot is wrapped in a :class:`BatchedBackend` (tolerated
-    shorthand), and ``None`` falls back to a :class:`LocalBackend` on the
-    shared engine.
+    A ready backend passes through, and ``None`` falls back to a
+    :class:`LocalBackend` on the shared engine.
     """
     if backend is None:
         return LocalBackend()
     if isinstance(backend, EvaluationBackend):
         return backend
-    if isinstance(backend, BatchEvaluator):
-        # Tolerated shorthand: a bare evaluator in the backend slot.
-        return BatchedBackend(backend)
     raise TypeError(
         f"backend must be an EvaluationBackend, got {type(backend).__name__}")

@@ -15,8 +15,8 @@ uninformative-label propagation.
 session driven end-to-end through a pluggable
 :class:`~repro.learning.backend.EvaluationBackend` — the deployment shape
 crowdsourced query learning assumes, where the workers answer HITs but the
-candidate re-evaluation runs on a serving tier (local, batched, or a
-remote TCP backend; the learned query, the question sequence, and the HIT
+candidate re-evaluation runs on a serving tier (local, or a remote TCP
+server or fleet; the learned query, the question sequence, and the HIT
 bill are identical on all of them).
 """
 
@@ -125,9 +125,8 @@ def crowd_learn_twig(
 
     The interactive session proposes HITs, the (simulated) crowd answers
     them, and every candidate re-evaluation crosses the evaluation
-    backend — so the same loop runs against a local engine, a batched
-    executor, or a remote serving tier, producing the same questions and
-    the same bill.
+    backend — so the same loop runs against a local engine or a remote
+    serving tier, producing the same questions and the same bill.
     """
     from repro.learning.xml_session import InteractiveTwigSession
 

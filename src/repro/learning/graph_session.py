@@ -74,7 +74,7 @@ class InteractivePathSession:
         self.prefetch = prefetch
         # The per-interaction acceptance scan over all pending words runs
         # as one backend batch, consumed sub-shard by sub-shard (same
-        # memoised answers, any backend/executor, order-independent
+        # memoised answers, any backend, order-independent
         # flags).  The candidate enumeration is backend-served and cached
         # per (graph, endpoints) — always client-side pool construction,
         # even on a remote backend.

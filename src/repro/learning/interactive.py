@@ -152,7 +152,7 @@ class InteractiveJoinSession:
         # The per-interaction informativeness scan over the pending pool
         # runs through the evaluation backend, consumed chunk-by-chunk as
         # chunks complete; flags are reassembled by position, so the
-        # proposal sequence is identical under any backend/executor.
+        # proposal sequence is identical under any backend.
         self.backend = as_backend(backend)
         r = make_rng(rng)
         pool = [(lrow, rrow) for lrow in left for rrow in right]

@@ -70,7 +70,7 @@ def _empirical_errors(candidates: Sequence[TwigQuery],
 
     The whole candidate generation crosses the seam at once — each
     candidate evaluated once per *distinct* example document — so the
-    batched/remote backends shard the scan per document instead of
+    backends shard the scan per document instead of
     paying one evaluation per (candidate, example) pair.
     """
     if not candidates:

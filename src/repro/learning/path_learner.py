@@ -172,8 +172,8 @@ def check_path_consistency(
 
     The negative scan runs as one acceptance batch on the evaluation
     ``backend`` (local engine by default): the hypothesis NFA is
-    compiled once, word verdicts are memoised, and batched/remote
-    backends probe the whole negative set in sub-shards.
+    compiled once, word verdicts are memoised, and every backend probes
+    the whole negative set in sub-shards.
     """
     from repro.learning.backend import as_backend
 

@@ -83,7 +83,7 @@ class SessionStats:
     #: The question sequence: one hashable descriptor per question asked,
     #: in order (document/node positions, row reprs, words — whatever the
     #: session deems stable).  The backend-invariance suites compare
-    #: these lists across evaluation backends and executors: every
+    #: these lists across evaluation backends: every
     #: backend must make the session ask literally the same questions.
     asked: list = field(default_factory=list)
 

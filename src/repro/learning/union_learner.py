@@ -54,8 +54,8 @@ def _violating_flags(queries: Sequence[TwigQuery],
     """Which candidate queries select at least one negative example?
 
     One workload for the whole candidate generation: every query over
-    every *distinct* negative document.  The batched/remote backends
-    shard it per document — each document's index snapshot answers all
+    every *distinct* negative document.  Every backend shards it per
+    document — each document's index snapshot answers all
     candidates in one shard — instead of paying one evaluation call per
     (candidate, negative) pair the way the old inline loop did.
     """

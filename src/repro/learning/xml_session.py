@@ -29,7 +29,7 @@ implied-negative probes run immediately, overlapping with the evaluation
 of the rest of the corpus instead of waiting on the whole batch.  The
 informative set (and with it every question asked) is assembled in pool
 order regardless of shard arrival order, so the session accepts any
-backend — local, batched on any executor, or a remote serving tier —
+backend — local, a remote server, or a fleet behind its router —
 without changing a single question (``SessionStats.asked`` records the
 sequence so the invariance suites can assert exactly that).
 """
@@ -94,7 +94,7 @@ class InteractiveTwigSession:
         pool: list[Candidate] = []
         # Stable question descriptors for SessionStats.asked: the node's
         # (document position, pre-order position), identical across
-        # backends, executors, and processes.  Only pool-eligible nodes
+        # backends and processes.  Only pool-eligible nodes
         # are ever asked about, so only they get a descriptor.
         self._descriptor: dict[int, tuple[int, int]] = {}
         for d, doc in enumerate(self.documents):

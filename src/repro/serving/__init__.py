@@ -7,8 +7,10 @@ per-instance indexes are independent, a workload — one hypothesis over many
 documents or graphs, one instance under many queries, or any mix — slices
 into per-instance **shards** that evaluate independently and merge back in
 item order.  The interactive sessions route their per-interaction
-re-evaluation loops through this service, and executors decide where the
-shards run without changing a single answer.
+re-evaluation loops through this service; in-process, on a
+:class:`~repro.serving.net.WorkloadServer` or across a
+:class:`~repro.serving.fleet.Fleet`, the same shard evaluator computes
+every answer.
 
 Architecture
 ------------
@@ -19,26 +21,18 @@ Architecture
     ``Workload.twig_queries(queries, document)``, ``Workload.rpq(...)``,
     ``Workload.accepts(...)`` build the common shapes; ``+`` concatenates.
 
-:class:`~repro.serving.executors.SerialExecutor`,
-:class:`~repro.serving.executors.ProcessExecutor`
-    Pluggable, order-preserving shard runners: inline against the
-    caller's engine, or a persistent process pool fed picklable
-    :class:`~repro.serving.evaluator.ShardTask` records whose workers
-    return identity-free answers (pre-order positions, vertex pairs,
-    booleans).
-
 :class:`~repro.serving.evaluator.BatchEvaluator`
     The service: shards a workload, hoists per-query work (canonical
-    forms) out of the per-item loop, runs shard chunks on the executor,
-    and decodes worker answers against its own engine's snapshots.
+    forms) out of the per-item loop, and evaluates each shard inline
+    against one index snapshot of its engine (``_eval_shard``).
     ``run`` returns the position-aligned result and ``run_stream``
-    surfaces answers shard-by-shard (completion order, position-tagged)
-    instead of waiting on the whole batch.  The membership shapes the
+    surfaces answers shard-by-shard (position-tagged) instead of
+    waiting on the whole batch.  The membership shapes the
     learners call (``selects*``, ``accepts*``, ``map*``) are built once
     on these two, by :class:`~repro.learning.backend.EvaluationBackend`.
 
 :class:`~repro.serving.async_evaluator.AsyncBatchEvaluator`
-    The asyncio facade: the same workloads, shards, and executors driven
+    The asyncio facade: the same workloads and shard evaluator driven
     from an event loop without blocking it; ``stream()`` is an async
     generator of :class:`~repro.serving.workload.ShardAnswer` records and
     ``run()`` is the deterministic ordered merge.
@@ -64,31 +58,27 @@ Architecture
 Contracts
 ---------
 * **Parity**: ``run(workload).answers[i]`` equals the serial engine call
-  for item ``i`` — same node objects, same document order — on every
-  executor.
+  for item ``i`` — same node objects, same document order — in-process,
+  over a server and over a fleet.
 * **Shard snapshot consistency**: each shard resolves its instance index
   once, so a concurrent mutation lands fully before or fully after any
-  given shard, never inside it (the process executor, which cannot share
-  snapshots with workers, detects a mid-batch mutation and raises instead
-  of decoding positions across versions).
-* **Determinism**: answers merge by item position; executor scheduling
-  cannot reorder or change results, so sessions behave identically under
-  any executor.
+  given shard, never inside it.
+* **Determinism**: answers merge by item position; arrival order cannot
+  reorder or change results, so sessions behave identically on every
+  backend.
 
 Typical use::
 
-    from repro.serving import BatchEvaluator, ProcessExecutor, Workload
+    from repro.serving import BatchEvaluator, Workload
 
-    with ProcessExecutor(max_workers=4) as executor:
-        evaluator = BatchEvaluator(executor=executor)
-        result = evaluator.run(Workload.twig(h1, docs)
-                               + Workload.rpq(r, graphs))
-        for shard_answer in evaluator.run_stream(Workload.twig(h2, docs)):
-            ...  # per-shard answers, in completion order
+    evaluator = BatchEvaluator()
+    result = evaluator.run(Workload.twig(h1, docs) + Workload.rpq(r, graphs))
+    for shard_answer in evaluator.run_stream(Workload.twig(h2, docs)):
+        ...  # per-shard answers, one shard at a time
 """
 
 from repro.serving.async_evaluator import AsyncBatchEvaluator
-from repro.serving.evaluator import BatchEvaluator, ShardTask
+from repro.serving.evaluator import BatchEvaluator
 from repro.serving.faults import (
     ChaosProxy,
     KillAfter,
@@ -99,11 +89,6 @@ from repro.serving.faults import (
     seeded_plan,
 )
 from repro.serving.fleet import Fleet, FleetRouter, RouterThread
-from repro.serving.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ShardExecutor,
-)
 from repro.serving.instance_cache import InstanceStore
 from repro.serving.net import (
     EndpointThread,
@@ -153,19 +138,15 @@ __all__ = [
     "RouterThread",
     "ItemKind",
     "NeedInstances",
-    "ProcessExecutor",
     "ProtocolError",
     "Refuse",
     "RemoteError",
     "RetryPolicy",
-    "SerialExecutor",
     "ServerThread",
     "ServiceUnavailable",
     "Shard",
     "ShardAnswer",
-    "ShardExecutor",
     "ShardGate",
-    "ShardTask",
     "Stall",
     "TransportError",
     "Truncate",

@@ -2,26 +2,19 @@
 
 :class:`AsyncBatchEvaluator` accepts the same :class:`~repro.serving.workload.Workload`
 objects as the synchronous :class:`~repro.serving.evaluator.BatchEvaluator`
-and schedules the same per-shard work on the same pluggable executors —
-but from inside an event loop, without ever blocking it on evaluation:
-
-* the isolated process executor is driven through ``executor.submit``;
-  the resulting :class:`concurrent.futures.Future` is bridged into the
-  loop with :func:`asyncio.wrap_future`;
-* in-process executors (serial, or any custom inline executor) would
-  run the shard inline on the caller's thread, so their submission is
-  offloaded to the loop's default thread pool via
-  ``loop.run_in_executor`` instead.
+and evaluates the same shards with the same shard evaluator — but from
+inside an event loop, without ever blocking it on evaluation: each
+shard's evaluation is offloaded to the loop's default thread pool via
+``loop.run_in_executor``.
 
 :meth:`AsyncBatchEvaluator.stream` is the primitive: an async generator
-yielding :class:`~repro.serving.workload.ShardAnswer` records in
-*completion* order, with at most ``executor.parallelism()`` shards in
-flight (lazy submission — a serial executor therefore yields its first
-shard before later shards have even started).  :meth:`AsyncBatchEvaluator.run`
-consumes the stream and reassembles the deterministic position-aligned
+yielding :class:`~repro.serving.workload.ShardAnswer` records one shard
+at a time, so its first shard is yielded before later shards have even
+started.  :meth:`AsyncBatchEvaluator.run` consumes the stream and
+reassembles the deterministic position-aligned
 :class:`~repro.serving.workload.WorkloadResult`, so ``await run(w)`` is
 answer-identical — same node objects, same order — to the synchronous
-``BatchEvaluator.run(w)`` on the same executor.
+``BatchEvaluator.run(w)``.
 
 This is the seam the network front-end (:mod:`repro.serving.net`) serves:
 one TCP connection's workloads become one evaluator stream each, and
@@ -35,45 +28,39 @@ from collections.abc import AsyncIterator
 
 from repro.engine import Engine
 from repro.serving.evaluator import BatchEvaluator
-from repro.serving.executors import ShardExecutor
 from repro.serving.workload import ShardAnswer, Workload, WorkloadResult
 
 
 class AsyncBatchEvaluator:
-    """Evaluate workloads on the executor seam from inside an event loop."""
+    """Evaluate workloads shard by shard from inside an event loop."""
 
     def __init__(self, *, engine: Engine | None = None,
-                 executor: ShardExecutor | None = None,
                  evaluator: BatchEvaluator | None = None) -> None:
         if evaluator is not None:
-            if engine is not None or executor is not None:
+            if engine is not None:
                 raise ValueError(
-                    "pass either a ready BatchEvaluator or engine/executor "
-                    "parts, not both")
+                    "pass either a ready BatchEvaluator or an engine, "
+                    "not both")
             self._sync = evaluator
         else:
-            self._sync = BatchEvaluator(engine=engine, executor=executor)
+            self._sync = BatchEvaluator(engine=engine)
 
     @property
     def engine(self) -> Engine:
         return self._sync.engine
 
     @property
-    def executor(self) -> ShardExecutor:
-        return self._sync.executor
-
-    @property
-    def sync(self) -> BatchEvaluator:
-        """The synchronous evaluator this facade schedules through."""
-        return self._sync
+    def name(self) -> str:
+        """How shards run (the evaluator's ``name``)."""
+        return self._sync.name
 
     # ------------------------------------------------------------------
     # The streaming primitive
     # ------------------------------------------------------------------
-    async def stream(self, workload: Workload, *, gate=None,
+    async def stream(self, workload: Workload, *, gate=None, deadline=None,
                      positions_native: bool = False,
                      ) -> AsyncIterator[ShardAnswer]:
-        """Yield per-shard answers as they complete, loop never blocked.
+        """Yield per-shard answers one shard at a time, loop never blocked.
 
         ``positions_native=True`` keeps twig answers as pre-order
         position tuples (see
@@ -82,94 +69,28 @@ class AsyncBatchEvaluator:
         straight into shard frames, never materialising node objects
         server-side.
 
-        Completion order is scheduling-dependent; the payloads are not —
-        each :class:`~repro.serving.workload.ShardAnswer` carries its item
-        positions, and reassembling by position reproduces the
-        synchronous batch answers exactly (the evaluator's parity and
-        snapshot contracts hold unchanged, including the isolated path's
-        refuse-to-decode-across-versions guard).
-
-        ``gate`` is an optional admission limiter (``await acquire()`` /
-        ``release()``, FIFO — the server's shard-admission semaphore):
-        one slot is held per in-flight shard, acquired *before*
-        submission so an over-limit workload queues instead of erroring.
-        Each task releases its slot through a done-callback the moment
-        it finishes (success, failure, or cancellation) — never from
-        this consumer loop, which may itself be waiting on a slot while
-        earlier shards complete: releasing from the loop would deadlock
-        the whole server whenever the executor is wider than the gate.
-        The pending acquisition is *raced* against shard completions,
-        so a queued submission never delays the yield of an answer that
-        already exists — gating bounds concurrency, not streaming
-        latency.  Abandonment cancels the in-flight tasks (and releases
-        an acquired-but-unused slot), so a dead request cannot leak
-        admission slots.
+        ``gate`` is an optional admission limiter (the server's
+        :class:`~repro.serving.net.ShardGate`).  Each shard acquires one
+        slot before it evaluates — passing ``deadline``, so a request
+        nobody waits for anymore is shed instead of queued — and
+        releases it before its answer is yielded.  A stream therefore
+        never holds more than one slot, and never holds one while its
+        consumer is busy with an answer.
         """
         shards = workload.shards()
-        if not shards:
-            return
-        submit, decode = self._sync._shard_plan(
-            shards, positions_native=positions_native)
-        width = max(1, self.executor.parallelism())
+        twig_keys = self._sync._hoist_twig_keys(shards)
         loop = asyncio.get_running_loop()
-        isolated = self.executor.isolated
-
-        async def run_one(i: int) -> tuple[int, tuple]:
-            if isolated:
-                raw = await asyncio.wrap_future(submit(i))
-            else:
-                # In-process executors evaluate inside submit(); keep that
-                # off the event loop thread.
-                future = await loop.run_in_executor(None, submit, i)
-                # repro: allow[async-purity] inline executors complete the
-                # future inside submit() itself, which just ran to the end
-                # in the executor thread — result() is an immediate read.
-                raw = future.result()
-            return i, decode(i, raw)
-
-        def launch(i: int) -> asyncio.Task:
-            task = asyncio.ensure_future(run_one(i))
+        for i, shard in enumerate(shards):
             if gate is not None:
-                task.add_done_callback(lambda _t: gate.release())
-            return task
-
-        in_flight: set[asyncio.Task] = set()
-        acquiring: asyncio.Task | None = None
-        next_shard = 0
-        try:
-            while next_shard < len(shards) or in_flight or acquiring:
-                if next_shard < len(shards) and len(in_flight) < width \
-                        and acquiring is None:
-                    if gate is None:
-                        in_flight.add(launch(next_shard))
-                        next_shard += 1
-                        continue
-                    acquiring = asyncio.ensure_future(gate.acquire())
-                wait_for = in_flight | ({acquiring} if acquiring else set())
-                done, _ = await asyncio.wait(
-                    wait_for, return_when=asyncio.FIRST_COMPLETED)
-                if acquiring is not None and acquiring.done():
-                    done.discard(acquiring)
-                    # repro: allow[async-purity] the task is .done(); this
-                    # result() cannot wait, it only surfaces failures.
-                    acquiring.result()
-                    acquiring = None
-                    in_flight.add(launch(next_shard))
-                    next_shard += 1
-                for task in done:
-                    in_flight.discard(task)
-                    # repro: allow[async-purity] asyncio.wait returned the
-                    # task in its done set — result() is an immediate read.
-                    i, answers = task.result()
-                    yield ShardAnswer(i, shards[i].indices, answers)
-        finally:
-            if acquiring is not None and not acquiring.cancel() \
-                    and not acquiring.cancelled() \
-                    and acquiring.exception() is None:
-                # The slot was acquired but its shard never launched.
-                gate.release()
-            for task in in_flight:
-                task.cancel()
+                await gate.acquire(deadline)
+            try:
+                answers = await loop.run_in_executor(
+                    None, self._sync._eval_shard, shard, twig_keys,
+                    positions_native)
+            finally:
+                if gate is not None:
+                    gate.release()
+            yield ShardAnswer(i, shard.indices, answers)
 
     # ------------------------------------------------------------------
     # Consumers of the stream
@@ -182,15 +103,11 @@ class AsyncBatchEvaluator:
             n_shards += 1
             for position, answer in shard_answer:
                 answers[position] = answer
-        return WorkloadResult(workload, tuple(answers), self.executor.name,
-                              n_shards)
+        return WorkloadResult(workload, tuple(answers), self.name, n_shards)
 
     async def first_answer(self, workload: Workload) -> ShardAnswer:
-        """The earliest completed shard (the streamed-latency probe).
-
-        Remaining in-flight shards are cancelled where possible; answers
-        already computed are simply discarded.
-        """
+        """The first shard's answers (the streamed-latency probe); later
+        shards are never evaluated."""
         stream = self.stream(workload)
         try:
             async for shard_answer in stream:
@@ -200,4 +117,4 @@ class AsyncBatchEvaluator:
         raise ValueError("workload has no shards")
 
     def __repr__(self) -> str:
-        return f"<AsyncBatchEvaluator executor={self.executor.name}>"
+        return f"<AsyncBatchEvaluator {self.name}>"

@@ -949,15 +949,15 @@ class Fleet:
     member server processes (each builds a **fresh** engine and
     evaluator in the child — no inherited lock state), waits for their
     ports, then stands up a :class:`FleetRouter` on a dedicated thread.
-    Member processes are forked *before* the router thread starts, the
-    same construction-time discipline as
-    :class:`~repro.serving.executors.ProcessExecutor`.
+    Member processes are forked *before* the router thread starts: a
+    fork snapshots every lock another thread holds into the child, held.
 
     ``evaluator_factory`` (called in the child) customises the member
-    evaluator — benchmarks use it to install instrumented executors;
+    evaluator — benchmarks use it to install an instrumented
+    :class:`~repro.serving.evaluator.BatchEvaluator` subclass;
     ``member_options`` pass through to each member's
     :class:`~repro.serving.net.WorkloadServer`
-    (``max_inflight_shards``, ``max_inflight_per_connection``, ...).
+    (``max_inflight_shards``, ...).
 
     Failure injection and rolling restarts: :meth:`kill_member` is a
     hard SIGKILL (the router discovers the death on first contact and

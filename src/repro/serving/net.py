@@ -62,7 +62,6 @@ from collections.abc import Iterator, Sequence
 from repro.errors import DeadlineExceeded
 from repro.serving import timeouts
 from repro.serving.async_evaluator import AsyncBatchEvaluator
-from repro.serving.executors import ShardExecutor
 from repro.serving.instance_cache import InstanceStore
 from repro.serving.resilience import Deadline, RetryPolicy, RetryState
 from repro.serving.wire import (
@@ -89,30 +88,19 @@ from repro.serving.workload import ShardAnswer, Workload, WorkloadResult
 class ShardGate:
     """FIFO admission control: at most ``limit`` shards in flight.
 
-    One gate per server, shared by every connection: a greedy client's
-    over-limit shard submissions *queue* on the semaphore (asyncio wakes
-    waiters first-come-first-served) instead of erroring or starving the
-    executor; interleaved with other connections' waiters, that is the
-    server's fairness floor.  ``in_flight`` is observability only.
-
-    ``per_owner`` layers a fair-scheduling quota on top: an *owner* (one
-    connection, in the server's use) may hold at most that many slots —
-    counting both in-flight shards and submissions queued at the global
-    semaphore — so a greedy session cannot flood the FIFO queue and
-    monopolise the executor while other connections starve.  Owners are
-    opaque hashable tokens; :meth:`scoped` binds one into the zero-arg
-    ``acquire``/``release`` surface the async evaluator drives.
+    One gate per server, shared by every connection.  A connection's
+    stream evaluates its shards one at a time, so it holds at most one
+    slot; over-limit submissions *queue* on the semaphore (asyncio wakes
+    waiters first-come-first-served) instead of erroring, and queued
+    connections take turns shard by shard — the server's fairness floor.
+    ``in_flight`` is observability only.
     """
 
-    def __init__(self, limit: int, *, per_owner: int | None = None) -> None:
+    def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError(
                 f"max_inflight_shards must be positive, got {limit!r}")
-        if per_owner is not None and per_owner < 1:
-            raise ValueError(
-                f"per-owner quota must be positive, got {per_owner!r}")
         self.limit = limit
-        self.per_owner = per_owner
         # lock-free: mutated only from acquire()/release() on the server's
         # single event-loop thread; cross-thread readers (stats) tolerate
         # a stale read of one int — it is observability, not accounting.
@@ -122,102 +110,27 @@ class ShardGate:
         # lock-free: mutated only from acquire() on the event-loop thread.
         self.deadline_sheds = 0
         self._semaphore = asyncio.Semaphore(limit)
-        # lock-free: owner bookkeeping is touched only from acquire()/
-        # release() on the single event-loop thread.
-        self._owner_held: dict[object, int] = {}
-        self._owner_turn: dict[object, asyncio.Event] = {}
 
-    async def acquire(self, owner: object = None,
-                      deadline: "Deadline | None" = None) -> None:
+    async def acquire(self, deadline: "Deadline | None" = None) -> None:
         if deadline is not None and deadline.expired:
             # Nobody is waiting for this shard anymore: shed it before
-            # it queues (let alone occupies) an executor slot.
+            # it queues (let alone occupies) a slot.
             self.deadline_sheds += 1
             raise DeadlineExceeded(
                 "request deadline expired before shard admission")
-        if self.per_owner is not None and owner is not None:
-            while self._owner_held.get(owner, 0) >= self.per_owner:
-                event = self._owner_turn.get(owner)
-                if event is None:
-                    event = self._owner_turn[owner] = asyncio.Event()
-                await event.wait()
-            self._owner_held[owner] = self._owner_held.get(owner, 0) + 1
-        try:
-            await self._semaphore.acquire()
-        except BaseException:
-            # Cancelled while queued: give the owner slot back and wake
-            # any same-owner waiter so the quota cannot wedge.
-            if self.per_owner is not None and owner is not None:
-                self._drop_owner_slot(owner)
-            raise
+        await self._semaphore.acquire()
         if deadline is not None and deadline.expired:
             # The deadline ran out while this submission was queued for
             # a slot: give the slot straight back and shed the shard.
             self._semaphore.release()
-            if self.per_owner is not None and owner is not None:
-                self._drop_owner_slot(owner)
             self.deadline_sheds += 1
             raise DeadlineExceeded(
                 "request deadline expired while queued for shard admission")
         self.in_flight += 1
 
-    def release(self, owner: object = None) -> None:
+    def release(self) -> None:
         self.in_flight -= 1
         self._semaphore.release()
-        if self.per_owner is not None and owner is not None:
-            self._drop_owner_slot(owner)
-
-    def _drop_owner_slot(self, owner: object) -> None:
-        held = self._owner_held.get(owner, 0) - 1
-        if held <= 0:
-            self._owner_held.pop(owner, None)
-        else:
-            self._owner_held[owner] = held
-        event = self._owner_turn.pop(owner, None)
-        if event is not None:
-            event.set()
-
-    def scoped(self, owner: object) -> "_ScopedGate":
-        """This gate with ``owner`` bound — the per-connection handle."""
-        return _ScopedGate(self, owner)
-
-    def owners(self) -> int:
-        """How many owners currently hold at least one slot."""
-        return len(self._owner_held)
-
-
-class _ScopedGate:
-    """A :class:`ShardGate` with an owner token pre-bound.
-
-    Presents the zero-argument ``acquire``/``release`` surface
-    :meth:`AsyncBatchEvaluator.stream
-    <repro.serving.async_evaluator.AsyncBatchEvaluator.stream>` expects,
-    while every slot it takes is accounted to its owner for the
-    per-connection fairness quota.  :meth:`with_deadline` additionally
-    binds one request's :class:`~repro.serving.resilience.Deadline`, so
-    admission control sheds queued shards nobody is waiting for anymore
-    (``acquire`` raises :class:`~repro.errors.DeadlineExceeded`, which
-    the evaluator stream surfaces and the server answers with a coded
-    ``error`` frame).
-    """
-
-    __slots__ = ("_gate", "_owner", "_deadline")
-
-    def __init__(self, gate: ShardGate, owner: object,
-                 deadline: "Deadline | None" = None) -> None:
-        self._gate = gate
-        self._owner = owner
-        self._deadline = deadline
-
-    def with_deadline(self, deadline: "Deadline | None") -> "_ScopedGate":
-        """This handle with a per-request deadline bound (same owner)."""
-        return _ScopedGate(self._gate, self._owner, deadline)
-
-    async def acquire(self) -> None:
-        await self._gate.acquire(self._owner, self._deadline)
-
-    def release(self) -> None:
-        self._gate.release(self._owner)
 
 
 class WorkloadServer:
@@ -228,9 +141,7 @@ class WorkloadServer:
     when omitted; pass one to share a corpus across servers or to bound
     its budget).  ``max_inflight_shards`` bounds concurrently evaluating
     shards across *all* connections (queued FIFO over the limit, never
-    an error); ``max_inflight_per_connection`` additionally caps how
-    many of those slots one connection may hold or queue for, so a
-    greedy session shares the executor fairly with its neighbours.
+    an error); each connection holds at most one slot at a time.
     ``stats_port`` additionally serves ``GET /stats`` over plain HTTP on
     that port — the same JSON as the wire ``stats`` frame, scrapeable
     with stdlib tooling alone.
@@ -244,7 +155,6 @@ class WorkloadServer:
                  host: str = "127.0.0.1", port: int = 0,
                  instance_store: InstanceStore | None = None,
                  max_inflight_shards: int | None = None,
-                 max_inflight_per_connection: int | None = None,
                  stats_port: int | None = None) -> None:
         self.evaluator = evaluator if evaluator is not None \
             else AsyncBatchEvaluator()
@@ -252,20 +162,14 @@ class WorkloadServer:
         self.port = port
         self.instance_store = instance_store if instance_store is not None \
             else InstanceStore()
-        if max_inflight_per_connection is not None \
-                and max_inflight_shards is None:
-            raise ValueError("max_inflight_per_connection requires "
-                             "max_inflight_shards")
         self._gate = None if max_inflight_shards is None \
-            else ShardGate(max_inflight_shards,
-                           per_owner=max_inflight_per_connection)
+            else ShardGate(max_inflight_shards)
         self.stats_port = stats_port
         self._server: asyncio.base_events.Server | None = None
         self._stats_server: asyncio.base_events.Server | None = None
         # lock-free: connection-handler tasks register/unregister on the
         # event-loop thread only; aclose() runs there too.
         self._conn_tasks: set[asyncio.Task] = set()
-        self._next_conn_token = 0  # lock-free: event-loop thread only
         # Digests in-flight requests currently evaluate against; the
         # in-place delta applier patches a *copy* while anyone still
         # holds the base.  lock-free: event-loop thread only (appliers
@@ -366,11 +270,6 @@ class WorkloadServer:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        # One fairness-quota owner token per connection: all of this
-        # connection's shard submissions are accounted together.
-        self._next_conn_token += 1
-        gate = None if self._gate is None \
-            else self._gate.scoped(self._next_conn_token)
         try:
             while True:
                 try:
@@ -383,7 +282,7 @@ class WorkloadServer:
                     break
                 if frame is None:
                     break
-                await self._serve_request(frame, reader, writer, gate)
+                await self._serve_request(frame, reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -490,7 +389,7 @@ class WorkloadServer:
     def _stats_payload(self) -> dict:
         """Live server state — one dict, JSON-encodable end to end."""
         out = {
-            "executor": self.evaluator.executor.name,
+            "executor": self.evaluator.name,
             "engine": self.evaluator.engine.stats(),
             "instance_cache": self.instance_store.stats(),
             "prefetch": {**self._prefetch,
@@ -498,11 +397,8 @@ class WorkloadServer:
             "admission": {
                 "max_inflight_shards":
                     None if self._gate is None else self._gate.limit,
-                "max_inflight_per_connection":
-                    None if self._gate is None else self._gate.per_owner,
                 "in_flight":
                     0 if self._gate is None else self._gate.in_flight,
-                "owners": 0 if self._gate is None else self._gate.owners(),
             },
             "resilience": {
                 "deadline_sheds": self._deadline_sheds + (
@@ -544,9 +440,7 @@ class WorkloadServer:
 
     async def _serve_request(self, frame: object,
                              reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter,
-                             gate: "_ScopedGate | ShardGate | None" = None,
-                             ) -> None:
+                             writer: asyncio.StreamWriter) -> None:
         kind = frame.get("type") if isinstance(frame, dict) else None
         if kind == "stats":
             # Observability probe: no evaluation, one reply frame with
@@ -614,8 +508,6 @@ class WorkloadServer:
         if isinstance(frame, dict):
             self._note_prefetch(frame,
                                 is_prefetch=bool(frame.get("prefetch")))
-        if gate is not None and deadline is not None:
-            gate = gate.with_deadline(deadline)
         stream = None
         held: frozenset[str] = frozenset()
         try:
@@ -631,7 +523,8 @@ class WorkloadServer:
                 self._active_refs[digest] = \
                     self._active_refs.get(digest, 0) + 1
             n_shards = 0
-            stream = self.evaluator.stream(workload, gate=gate,
+            stream = self.evaluator.stream(workload, gate=self._gate,
+                                           deadline=deadline,
                                            positions_native=True)
             async for shard_answer in stream:
                 write_frame(writer, codec.encode_shard_answer(
@@ -639,7 +532,7 @@ class WorkloadServer:
                 await writer.drain()
                 n_shards += 1
             write_frame(writer, {"type": "done", "n_shards": n_shards,
-                                 "executor": self.evaluator.executor.name})
+                                 "executor": self.evaluator.name})
         except DeadlineExceeded as exc:
             # Coded so the client surfaces DeadlineExceeded (and never
             # retries it — the time a retry needs is what ran out).
@@ -657,9 +550,8 @@ class WorkloadServer:
                     self._active_refs[digest] = remaining
             if stream is not None:
                 # A drain() that died on a disconnected peer abandons the
-                # iteration mid-stream; closing the generator runs its
-                # cancellation path, so in-flight shards of a dead request
-                # stop occupying executor slots.
+                # iteration mid-stream; closing the generator leaves the
+                # request's remaining shards unevaluated.
                 await stream.aclose()
         await writer.drain()
 
@@ -718,14 +610,13 @@ class WorkloadServer:
 
 
 async def serve(*, host: str = "127.0.0.1", port: int = 0,
-                executor: ShardExecutor | None = None,
                 **server_options) -> None:
     """Run a workload server until cancelled (module-level entry point).
 
     Extra keyword options (``instance_store``, ``max_inflight_shards``,
     ``stats_port``) pass through to :class:`WorkloadServer`.
     """
-    server = WorkloadServer(AsyncBatchEvaluator(executor=executor),
+    server = WorkloadServer(AsyncBatchEvaluator(),
                             host=host, port=port, **server_options)
     bound_host, bound_port = await server.start()
     print(f"serving workloads on {bound_host}:{bound_port}", flush=True)
@@ -827,8 +718,8 @@ class ServerThread(EndpointThread):
     Construction blocks until the socket is bound; ``close()`` (or the
     context manager exit) stops the loop and joins the thread.  Extra
     keyword options (``instance_store``, ``max_inflight_shards``,
-    ``max_inflight_per_connection``, ``stats_port``) pass through to the
-    underlying :class:`WorkloadServer`.
+    ``stats_port``) pass through to the underlying
+    :class:`WorkloadServer`.
     """
 
     def __init__(self, evaluator: AsyncBatchEvaluator | None = None, *,

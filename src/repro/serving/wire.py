@@ -19,14 +19,12 @@ tagged codecs for the structured values JSON lacks:
 * **graphs and vertex ids** — vertex/edge lists; ids may be JSON scalars
   or (nested) tuples, encoded as ``{"__tuple__": [...]}``.
 
-Answers travel identity-free, exactly like
-:class:`~repro.serving.evaluator.ShardTask` results inside the process
-executor: twig answers as pre-order positions (the client maps them onto
-*its own* node objects), RPQ answers as vertex-id pairs, acceptance
-answers as booleans.  :class:`WorkloadCodec` serves both ends: the
-client's codec holds the per-instance pre-order node lists that decode
-positions, and the server's copies the engine's positions straight into
-shard frames.
+Answers travel identity-free: twig answers as pre-order positions (the
+client maps them onto *its own* node objects), RPQ answers as vertex-id
+pairs, acceptance answers as booleans.  :class:`WorkloadCodec` serves
+both ends: the client's codec holds the per-instance pre-order node
+lists that decode positions, and the server's copies the engine's
+positions straight into shard frames.
 
 Instances are **content-addressed**: every full instance record carries a
 structural digest (:func:`instance_digest` — SHA-256 over the canonical
@@ -774,8 +772,8 @@ class WorkloadCodec:
     Twig answers travel as pre-order positions: the encoder takes the
     engine's position tuples (the server streams the evaluator with
     ``positions_native=True``) and the client decodes positions back onto
-    its own node objects at the answer boundary — the same identity-free
-    trick the process executor uses, stretched across the socket.
+    its own node objects at the answer boundary, so no node object ever
+    crosses the socket.
 
     Instances are content-addressed end to end.  Encoding with
     ``known_digests`` replaces instances the peer already holds with

@@ -5,14 +5,14 @@ A :class:`Workload` is an immutable, ordered collection of
 or word-acceptance check.  Items keep their position: every answer in a
 :class:`WorkloadResult` is aligned with the item that produced it, so a
 batch is observationally a list comprehension over the serial engine
-calls, whatever executor ran it.
+calls, wherever it was evaluated.
 
 Sharding follows the engine seam: per-instance indexes are independent,
 so items are grouped by data instance (document or graph; acceptance
 checks, which are instance-free, group by query).  A shard is the unit of
-executor scheduling *and* of snapshot consistency — the batch evaluator
-resolves each shard's index once, so one shard never observes two
-versions of its instance.
+streaming *and* of snapshot consistency — the batch evaluator resolves
+each shard's index once, so one shard never observes two versions of its
+instance.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Workload:
 
     #: Acceptance checks share no instance snapshot, so their per-query
     #: groups split into sub-shards of this size — a one-query scan over
-    #: many words (the path sessions' hot shape) can then spread across
-    #: executor workers instead of collapsing into a single shard.
+    #: many words (the path sessions' hot shape) then streams its verdicts
+    #: in groups instead of arriving as one shard at the end.
     ACCEPTS_SHARD_SIZE = 64
 
     # ------------------------------------------------------------------
@@ -177,9 +177,11 @@ class WorkloadResult:
 
     ``answers[i]`` is exactly what the serial engine call for item ``i``
     would have returned: a list of the instance's *own* node objects in
-    document order for twig items (even when a process pool computed the
-    answer — workers ship pre-order positions, not copies), a set of
+    document order for twig items (even when a remote server computed the
+    answer — servers ship pre-order positions, not copies), a set of
     ``(source, target)`` pairs for RPQ items, a bool for acceptance items.
+    ``executor`` names where the shards ran: ``"serial"`` in-process,
+    ``"remote:<server's>"`` over the wire.
     """
 
     workload: Workload

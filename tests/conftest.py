@@ -192,21 +192,6 @@ def identical_answers(batch, serial) -> bool:
     )
 
 
-def in_process_backends(engine, process_executor) -> list:
-    """The in-process backend roster over one engine: local, batched on
-    the serial executor, and batched on a (caller-owned, module-scoped)
-    process pool — every membership shape must agree across all three."""
-    from repro.learning.backend import BatchedBackend, LocalBackend
-    from repro.serving import BatchEvaluator, SerialExecutor
-
-    return [
-        LocalBackend(engine=engine),
-        BatchedBackend(engine=engine, executor=SerialExecutor()),
-        BatchedBackend(evaluator=BatchEvaluator(engine=engine,
-                                                executor=process_executor)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Reference implementations (naive, obviously-correct)
 # ---------------------------------------------------------------------------

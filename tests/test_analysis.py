@@ -224,14 +224,6 @@ def test_wire_codec_flags_unregistered_tag_in_sibling_module():
     assert report.findings[0].path.endswith("bad_user.py")
 
 
-def test_wire_codec_flags_unpicklable_shard_task_field():
-    report = run(fixture_dir("wire-codec") / "good_wire.py",
-                 fixture_dir("wire-codec") / "bad_task.py")
-    assert [f.rule for f in report.findings] == ["wire-codec"]
-    assert "ShardTask.callback" in report.findings[0].message
-    assert "Callable" in report.findings[0].message
-
-
 def test_wire_codec_suppressed():
     report = run(fixture_dir("wire-codec") / "suppressed_wire.py")
     assert report.ok

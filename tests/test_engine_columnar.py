@@ -8,7 +8,6 @@ serving tier keys its caches on.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +17,8 @@ from repro.graphdb.graph import Graph
 from repro.graphdb.regex import parse_regex
 from repro.graphdb.rpq import evaluate_rpq_naive
 from repro.serving.evaluator import BatchEvaluator
-from repro.serving.executors import ShardExecutor
 from repro.serving.wire import instance_fingerprint
 from repro.serving.workload import Workload
-from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate_naive
 from repro.xmltree.tree import XTree
 
@@ -311,46 +308,3 @@ def test_positions_native_stream_matches_node_stream(tree, query):
     preorder = engine.preorder_nodes(doc)
     assert [[preorder[p] for p in positions] for positions in answers] \
         == [materialised]
-
-
-def test_positions_native_isolated_plan_passes_positions_through():
-    class InlineIsolatedExecutor(ShardExecutor):
-        isolated = True
-        name = "inline-isolated"
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    doc = xml("<a><b><c/></b><b/></a>")
-    evaluator = BatchEvaluator(engine=Engine(),
-                               executor=InlineIsolatedExecutor())
-    workload = Workload.twig(parse_twig("//b"), [doc])
-    [(_, positions)] = [list(s)[0] for s in evaluator.run_stream(
-        workload, positions_native=True)]
-    order = {id(n): i for i, n in enumerate(doc.nodes())}
-    expected = tuple(order[id(n)]
-                     for n in evaluate_naive(parse_twig("//b"), doc))
-    assert tuple(positions) == expected
-
-
-def test_positions_native_isolated_plan_refuses_cross_version():
-    """The refuse-to-decode-across-versions guard survives the
-    positions-native mode: positions are never handed out for a tree
-    that mutated after the plan pinned its version."""
-    doc = xml("<a><b><c/></b><b/></a>")
-
-    class MutatingIsolatedExecutor(ShardExecutor):
-        isolated = True
-        name = "mutating"
-
-        def submit(self, fn, *args):
-            doc.root.add(doc.root.children[0].copy())
-            doc.invalidate()
-            return super().submit(fn, *args)
-
-    evaluator = BatchEvaluator(engine=Engine(),
-                               executor=MutatingIsolatedExecutor())
-    stream = evaluator.run_stream(Workload.twig(parse_twig("//b"), [doc]),
-                                  positions_native=True)
-    with pytest.raises(RuntimeError, match="mutated while a process batch"):
-        list(stream)

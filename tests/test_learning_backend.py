@@ -1,7 +1,7 @@
 """The evaluation-backend seam: every learner gets identical answers —
 same learned query, same question sequence, same node *objects* — on
-:class:`LocalBackend`, :class:`BatchedBackend` (serial and process
-executors), and :class:`RemoteBackend` over a real TCP server.
+:class:`LocalBackend` and on :class:`RemoteBackend` over a real TCP
+server.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.graphdb.pathquery import PathQuery
 from repro.graphdb.regex import parse_regex
 from repro.graphdb.rpq import evaluate_rpq_naive
 from repro.learning.backend import (
-    BatchedBackend,
     EvaluationBackend,
     LocalBackend,
     RemoteBackend,
@@ -39,7 +38,6 @@ from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
     ItemKind,
-    ProcessExecutor,
     ServerThread,
     WorkloadItem,
 )
@@ -50,7 +48,6 @@ from repro.xmltree.tree import XTree
 
 from .conftest import (
     identical_answers,
-    in_process_backends,
     small_graphs,
     twig_queries,
     xml,
@@ -58,14 +55,8 @@ from .conftest import (
 )
 
 # ---------------------------------------------------------------------------
-# The backend roster (module-scoped: one process pool, one TCP server)
+# The backend roster (module-scoped: one TCP server)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    with ProcessExecutor(2) as executor:
-        yield executor
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +66,9 @@ def server():
 
 
 @pytest.fixture
-def all_backends(process_executor, server):
-    """One of each: local, batched serial/process, remote TCP."""
-    backends = [
-        *in_process_backends(Engine(), process_executor),
-        RemoteBackend(*server.address),
-    ]
+def all_backends(server):
+    """One of each: local and remote TCP."""
+    backends = [LocalBackend(engine=Engine()), RemoteBackend(*server.address)]
     yield backends
     for backend in backends:
         backend.close()
@@ -108,7 +96,7 @@ def test_membership_shapes_identical_on_every_backend(roots, data):
     assert base_flags[candidates.index((tree, node))]
 
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as srv:
-        others = [BatchedBackend(engine=Engine()),
+        others = [LocalBackend(engine=Engine()),
                   RemoteBackend(*srv.address)]
         for backend in others:
             assert identical_answers(
@@ -158,7 +146,7 @@ def mixed_workloads(draw) -> Workload:
 @settings(max_examples=25, deadline=None)
 @given(workload=mixed_workloads())
 def test_mixed_workload_matches_naive_oracles_on_every_backend(
-        process_executor, server, workload):
+        server, workload):
     expected = []
     for item in workload:
         if item.kind is ItemKind.TWIG:
@@ -170,7 +158,7 @@ def test_mixed_workload_matches_naive_oracles_on_every_backend(
                 None if item.sources is None else list(item.sources)))
         else:
             expected.append(item.query.accepts(item.word))
-    backends = [*in_process_backends(Engine(), process_executor),
+    backends = [LocalBackend(engine=Engine()),
                 RemoteBackend(*server.address)]
     try:
         for backend in backends:
@@ -263,9 +251,8 @@ def test_join_session_invariant_across_backends(all_backends):
 @given(roots=st.lists(xnode_trees(max_depth=3), min_size=2, max_size=3),
        data=st.data())
 def test_pac_learning_invariant_across_backends(roots, data):
-    """Satellite: pac_learn_twig produces identical results on every
-    backend — local, batched (thread + process pools are exercised by the
-    fixture-driven variant below), and remote."""
+    """pac_learn_twig produces identical results on the local and the
+    remote backend."""
     docs = [XTree(r) for r in roots]
     tree = docs[data.draw(st.integers(0, len(docs) - 1))]
     nodes = list(tree.nodes())
@@ -291,12 +278,11 @@ def test_pac_learning_invariant_across_backends(roots, data):
                 result.n_examples, result.consistent)
 
     baseline = run(LocalBackend(engine=Engine()))
-    assert run(BatchedBackend(engine=Engine())) == baseline
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as srv:
         assert run(RemoteBackend(*srv.address)) == baseline
 
 
-def test_pac_learning_invariant_on_pooled_executors(all_backends):
+def test_pac_learning_invariant_on_a_fixed_corpus(all_backends):
     docs = _session_docs()
     goal = parse_twig("//person[phone]")
     results = []
@@ -419,8 +405,9 @@ def test_as_backend_resolution_rules():
     backend = LocalBackend(Engine())
     assert as_backend(backend) is backend
     assert as_backend(None).name == "local"
-    wrapped = as_backend(BatchEvaluator())
-    assert isinstance(wrapped, BatchedBackend)
+    # A bare BatchEvaluator is not a backend: LocalBackend wraps one.
+    with pytest.raises(TypeError, match="EvaluationBackend"):
+        as_backend(BatchEvaluator())
     with pytest.raises(TypeError, match="EvaluationBackend"):
         as_backend("nope")
 
@@ -484,8 +471,6 @@ def test_warm_instances_is_backend_invariant(server):
     local = LocalBackend(engine=Engine())
     assert local.warm_instances(docs) == {"shipped": 0, "bytes": 0}
     assert local.known_digests == set()
-    batched = BatchedBackend(engine=Engine())
-    assert batched.warm_instances(docs) == {"shipped": 0, "bytes": 0}
     baseline = InteractiveTwigSession(docs, goal, backend=local).run()
     with RemoteBackend(*server.address) as backend:
         warmed = backend.warm_instances(docs)
@@ -504,7 +489,7 @@ def test_warm_instances_is_backend_invariant(server):
 # ---------------------------------------------------------------------------
 
 
-def test_local_and_batched_stats_expose_engine_counters():
+def test_local_stats_expose_engine_and_shard_counters():
     doc = xml("<a><b/><b/></a>")
     query = parse_twig("//b")
     local = LocalBackend(engine=Engine())
@@ -513,19 +498,12 @@ def test_local_and_batched_stats_expose_engine_counters():
     stats = local.stats()
     assert stats["backend"] == "local"
     assert stats["batches"] == 2 and stats["items"] == 2
+    assert stats["shards"] == 2
     assert stats["engine"]["twig_query_hits"] == 1
     assert stats["engine"]["document_builds"] == 1
-
-    batched = BatchedBackend(engine=Engine())
-    batched.evaluate_twig_batch(query, [doc])
-    stats = batched.stats()
-    assert stats["backend"] == "batched"
-    assert stats["executor"] == "serial"
-    assert stats["shards"] == 1
-    assert stats["engine"]["document_builds"] == 1
-    batched.reset_stats()
-    assert batched.stats()["batches"] == 0
-    assert batched.stats()["shards"] == 0
+    local.reset_stats()
+    assert local.stats()["batches"] == 0
+    assert local.stats()["shards"] == 0
 
 
 def test_remote_stats_report_round_trips_bytes_and_server_engine(server):
@@ -540,20 +518,6 @@ def test_remote_stats_report_round_trips_bytes_and_server_engine(server):
         assert stats["bytes_sent"] > 0 and stats["bytes_received"] > 0
         engine_stats = stats["server"]["engine"]
         assert engine_stats["document_builds"] == before + 1
-
-
-def test_backend_close_contracts(process_executor):
-    # BatchedBackend closes an executor it constructed...
-    backend = BatchedBackend(engine=Engine(), executor=ProcessExecutor(1))
-    backend.evaluate_twig_batch(parse_twig("//b"), [xml("<a><b/></a>")])
-    backend.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        backend.executor.map(abs, [-1])
-    # ...but not one the caller supplied via a ready evaluator.
-    shared = BatchedBackend(
-        evaluator=BatchEvaluator(engine=Engine(), executor=process_executor))
-    shared.close()
-    assert process_executor.map(abs, [-1]) == [1]
 
 
 def test_remote_backend_owns_or_shares_its_client(server):

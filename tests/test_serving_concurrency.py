@@ -22,13 +22,7 @@ from repro.learning.graph_session import InteractivePathSession
 from repro.learning.interactive import InteractiveJoinSession
 from repro.learning.xml_session import InteractiveTwigSession
 from repro.relational.generator import make_join_instance
-from repro.serving import (
-    BatchEvaluator,
-    ItemKind,
-    ProcessExecutor,
-    Workload,
-    WorkloadItem,
-)
+from repro.serving import BatchEvaluator, ItemKind, Workload, WorkloadItem
 from repro.twig.parse import parse_twig
 
 from .conftest import xml
@@ -329,21 +323,16 @@ def test_graph_mutation_mid_batch_is_all_pre_or_all_post_per_shard():
 
 
 # ---------------------------------------------------------------------------
-# Sessions are backend-invariant (local / batched / remote TCP)
+# Sessions are backend-invariant (local / remote TCP)
 # ---------------------------------------------------------------------------
 
 
-def test_sessions_identical_across_all_three_backends():
+def test_sessions_identical_on_local_and_remote_backends():
     """The backend seam's end-to-end contract, deterministic by
     construction (seeded RNGs, no wall-clock dependence): every session
     asks the same questions — in the same order — and learns the same
-    query on LocalBackend, BatchedBackend, and RemoteBackend over a real
-    TCP server."""
-    from repro.learning.backend import (
-        BatchedBackend,
-        LocalBackend,
-        RemoteBackend,
-    )
+    query on LocalBackend and on RemoteBackend over a real TCP server."""
+    from repro.learning.backend import LocalBackend, RemoteBackend
     from repro.serving import AsyncBatchEvaluator, ServerThread
 
     docs = [
@@ -373,24 +362,20 @@ def test_sessions_identical_across_all_three_backends():
         return twig, path, join
 
     baseline = run_all(LocalBackend(engine=Engine()))
-    with ProcessExecutor(2) as executor:
-        batched = run_all(BatchedBackend(engine=Engine(),
-                                         executor=executor))
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
         with RemoteBackend(*server.address) as backend:
-            remote = run_all(backend)
+            twig, path, join = run_all(backend)
 
-    for twig, path, join in (batched, remote):
-        base_twig, base_path, base_join = baseline
-        assert twig.query == base_twig.query
-        assert twig.stats == base_twig.stats
-        assert twig.stats.asked == base_twig.stats.asked
-        assert path.query == base_path.query
-        assert path.stats == base_path.stats
-        assert path.stats.asked == base_path.stats.asked
-        assert join.predicate == base_join.predicate
-        assert join.stats == base_join.stats
-        assert join.stats.asked == base_join.stats.asked
+    base_twig, base_path, base_join = baseline
+    assert twig.query == base_twig.query
+    assert twig.stats == base_twig.stats
+    assert twig.stats.asked == base_twig.stats.asked
+    assert path.query == base_path.query
+    assert path.stats == base_path.stats
+    assert path.stats.asked == base_path.stats.asked
+    assert join.predicate == base_join.predicate
+    assert join.stats == base_join.stats
+    assert join.stats.asked == base_join.stats.asked
 
 
 def test_eviction_under_concurrent_clients_stays_coherent():
@@ -436,7 +421,7 @@ def test_eviction_under_concurrent_clients_stays_coherent():
 def test_admission_gate_queues_fifo_and_never_errors():
     """max_inflight_shards=1 serialises shard evaluation across every
     connection: concurrent clients with multi-shard workloads all
-    complete with parity answers — over-limit submissions queue, they
+    complete with the right answers — over-limit submissions queue, they
     never fail — and the gate drains back to zero in the stats frame."""
     from repro.serving import (
         AsyncBatchEvaluator,
@@ -449,16 +434,8 @@ def test_admission_gate_queues_fifo_and_never_errors():
             xml("<a><c><b/></c></a>")]
     query = parse_twig("//b")
     expected = [1, 2, 1]
-    # The executor is deliberately *wider* than the gate: the submission
-    # loop wants 2 shards in flight but only 1 slot exists, so slot
-    # release must never depend on the consumer loop making progress
-    # (regression: releasing from the consumer loop deadlocked every
-    # connection the moment width exceeded the limit).  The process
-    # pool forks before the server's threads exist.
-    with ProcessExecutor(2) as executor, \
-            ServerThread(AsyncBatchEvaluator(engine=Engine(),
-                                             executor=executor),
-                         max_inflight_shards=1) as server:
+    with ServerThread(AsyncBatchEvaluator(engine=Engine()),
+                      max_inflight_shards=1) as server:
         def one_client():
             with WorkloadClient(*server.address) as client:
                 for _ in range(4):
@@ -468,5 +445,33 @@ def test_admission_gate_queues_fifo_and_never_errors():
         _run_threads([one_client for _ in range(4)])
         with WorkloadClient(*server.address) as client:
             admission = client.stats()["admission"]
-    assert admission == {"max_inflight_shards": 1, "in_flight": 0,
-                         "max_inflight_per_connection": None, "owners": 0}
+    assert admission == {"max_inflight_shards": 1, "in_flight": 0}
+
+
+def test_four_connections_through_one_slot_match_local_answers():
+    """Four connections share one admission slot: each holds it for one
+    shard at a time, so all of them complete, and every answer is the
+    node objects LocalBackend returns for the same documents."""
+    from repro.serving import AsyncBatchEvaluator, ServerThread, WorkloadClient
+
+    query = parse_twig("//b")
+    corpora = [[xml(f"<a><b/><c><b/></c><i>{i}-{j}</i></a>")
+                for j in range(4)] for i in range(4)]
+    local = LocalBackend(engine=Engine())
+    expected = [local.evaluate_twig_batch(query, corpus)
+                for corpus in corpora]
+    results: dict[int, list] = {}
+    with ServerThread(AsyncBatchEvaluator(engine=Engine()),
+                      max_inflight_shards=1) as server:
+        def one_client(i):
+            with WorkloadClient(*server.address) as client:
+                results[i] = list(
+                    client.run(Workload.twig(query, corpora[i])).answers)
+
+        _run_threads([lambda i=i: one_client(i) for i in range(4)])
+    assert sorted(results) == [0, 1, 2, 3]
+    for i, answers in results.items():
+        assert len(answers) == len(expected[i])
+        for got, want in zip(answers, expected[i]):
+            assert len(got) == len(want) == 2
+            assert all(g is w for g, w in zip(got, want))

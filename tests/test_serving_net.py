@@ -17,9 +17,7 @@ from repro.graphdb.regex import parse_regex
 from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
-    ProcessExecutor,
     ProtocolError,
-    SerialExecutor,
     ServerThread,
     Workload,
     WorkloadClient,
@@ -205,13 +203,9 @@ def test_shard_answer_codec_is_identity_free_but_identity_restoring():
 
 
 @pytest.fixture(scope="module")
-def process_server():
-    # Fork the workers before any helper threads exist (executors.py
-    # documents the fork-safety contract), then put the TCP endpoint —
-    # the issue's target deployment — in front of them.
-    with ProcessExecutor(2) as executor:
-        with ServerThread(AsyncBatchEvaluator(executor=executor)) as server:
-            yield server
+def tcp_server():
+    with ServerThread(AsyncBatchEvaluator()) as server:
+        yield server
 
 
 def _full_workload():
@@ -225,25 +219,23 @@ def _full_workload():
                                [("road",), ("rail",), ("road", "rail")]))
 
 
-def test_tcp_round_trip_identical_to_local_serial(process_server):
-    """The issue's acceptance bar: a workload served over TCP with the
-    process executor behind it is answer-identical — same node objects,
-    same order — to a local BatchEvaluator on the serial executor."""
+def test_tcp_round_trip_identical_to_local_serial(tcp_server):
+    """A workload served over TCP is answer-identical — same node
+    objects, same order — to a local BatchEvaluator run."""
     workload = _full_workload()
-    local = BatchEvaluator(engine=Engine(),
-                           executor=SerialExecutor()).run(workload)
-    with WorkloadClient(*process_server.address) as client:
+    local = BatchEvaluator(engine=Engine()).run(workload)
+    with WorkloadClient(*tcp_server.address) as client:
         remote = client.run(workload)
-    assert remote.executor == "remote:process"
+    assert remote.executor == "remote:serial"
     assert remote.n_shards == len(workload.shards())
     assert identical_answers(remote.answers[:3], local.answers[:3])
     assert remote.answers[3] == local.answers[3]
     assert list(remote.answers[4:]) == list(local.answers[4:])
 
 
-def test_tcp_connection_is_reusable_and_streams_shards(process_server):
+def test_tcp_connection_is_reusable_and_streams_shards(tcp_server):
     workload = _full_workload()
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         first_run = client.run(workload)
         shard_answers = list(client.stream(workload))  # second request
     assert len(shard_answers) == len(workload.shards())
@@ -258,8 +250,8 @@ def test_tcp_connection_is_reusable_and_streams_shards(process_server):
 
 
 def test_tcp_thread_backend_and_graph_sources():
-    """A ``ServerThread`` on the default serial executor answers RPQ
-    workloads restricted to explicit source vertices."""
+    """A ``ServerThread`` on its own engine answers RPQ workloads
+    restricted to explicit source vertices."""
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
         g = _geo_graph()
         workload = Workload.rpq(parse_regex("road+"), [g],
@@ -271,8 +263,8 @@ def test_tcp_thread_backend_and_graph_sources():
         assert remote.executor == "remote:serial"
 
 
-def test_server_reports_errors_without_dropping_connection(process_server):
-    host, port = process_server.address
+def test_server_reports_errors_without_dropping_connection(tcp_server):
+    host, port = tcp_server.address
     with socket.create_connection((host, port), timeout=30.0) as sock:
         send_frame_blocking(sock, {"instances": [], "queries": [],
                                    "items": [{"kind": "alien"}]})
@@ -292,12 +284,12 @@ def test_server_reports_errors_without_dropping_connection(process_server):
         assert [f["type"] for f in frames] == ["shard", "done"]
 
 
-def test_client_surfaces_server_error_as_protocol_error(process_server):
+def test_client_surfaces_server_error_as_protocol_error(tcp_server):
     class Unencodable:
         pass
 
     workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         with pytest.raises(ProtocolError, match="server error"):
             # Corrupt the encoded form by sending a raw bad frame through
             # the client's socket, then reuse the public path.
@@ -305,14 +297,13 @@ def test_client_surfaces_server_error_as_protocol_error(process_server):
             list(client.stream(workload))
 
 
-def test_abandoned_stream_does_not_desync_connection_reuse(process_server):
+def test_abandoned_stream_does_not_desync_connection_reuse(tcp_server):
     """Grabbing only the first shard (the streamed-latency pattern) and
     walking away must leave the connection usable: the next request
     drains the old response instead of decoding its leftovers."""
     workload = _full_workload()
-    local = BatchEvaluator(engine=Engine(),
-                           executor=SerialExecutor()).run(workload)
-    with WorkloadClient(*process_server.address) as client:
+    local = BatchEvaluator(engine=Engine()).run(workload)
+    with WorkloadClient(*tcp_server.address) as client:
         stream = client.stream(workload)
         first = next(stream)  # abandon the rest mid-response
         assert len(first.indices) >= 1
@@ -326,8 +317,8 @@ def test_abandoned_stream_does_not_desync_connection_reuse(process_server):
         assert list(again.answers[3:]) == list(local.answers[3:])
 
 
-def test_closed_client_refuses_requests(process_server):
-    client = WorkloadClient(*process_server.address)
+def test_closed_client_refuses_requests(tcp_server):
+    client = WorkloadClient(*tcp_server.address)
     client.close()
     with pytest.raises(RuntimeError, match="closed"):
         list(client.stream(Workload()))
@@ -363,9 +354,9 @@ def test_stats_frame_reports_live_server_engine_counters():
             assert after["engine"] == engine.stats()
 
 
-def test_client_counts_requests_and_bytes(process_server):
+def test_client_counts_requests_and_bytes(tcp_server):
     workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         assert (client.requests, client.bytes_sent,
                 client.bytes_received) == (0, 0, 0)
         client.run(workload)
@@ -383,8 +374,8 @@ def test_client_counts_requests_and_bytes(process_server):
 # ---------------------------------------------------------------------------
 
 
-def test_client_close_is_idempotent(process_server):
-    client = WorkloadClient(*process_server.address)
+def test_client_close_is_idempotent(tcp_server):
+    client = WorkloadClient(*tcp_server.address)
     assert not client.closed
     client.close()
     assert client.closed
@@ -393,12 +384,12 @@ def test_client_close_is_idempotent(process_server):
         client.stats()
 
 
-def test_client_survives_server_error_frames(process_server):
+def test_client_survives_server_error_frames(tcp_server):
     workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
     g = _geo_graph()
     # Decodes fine, fails during evaluation: unknown source vertex.
     failing = Workload.rpq(parse_regex("road"), [g], sources=[(9, 9)])
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         # A server-reported error keeps the connection aligned...
         with pytest.raises(ProtocolError, match="server error"):
             list(client.stream(failing))
@@ -470,14 +461,13 @@ def test_instance_digest_is_structural_and_version_tracking():
     assert instance_digest(g1) != instance_digest(g2)
 
 
-def test_known_digests_turn_repeat_instances_into_refs(process_server):
+def test_known_digests_turn_repeat_instances_into_refs(tcp_server):
     """The ship-once contract at the client level: with a shared digest
     registry, the second request's workload frame carries only refs (and
     costs measurably fewer bytes), with identical answers."""
     workload = _full_workload()
-    local = BatchEvaluator(engine=Engine(),
-                           executor=SerialExecutor()).run(workload)
-    with WorkloadClient(*process_server.address) as client:
+    local = BatchEvaluator(engine=Engine()).run(workload)
+    with WorkloadClient(*tcp_server.address) as client:
         registry: set[str] = set()
         first = client.run(workload, known_digests=registry)
         cold_bytes = client.bytes_sent
@@ -546,9 +536,7 @@ def test_stats_frame_reports_instance_cache_and_admission():
     cache = stats["instance_cache"]
     assert cache["instances"] == 1 and cache["misses"] >= 1
     assert cache["bytes"] > 0
-    assert stats["admission"] == {"max_inflight_shards": 3, "in_flight": 0,
-                                  "max_inflight_per_connection": None,
-                                  "owners": 0}
+    assert stats["admission"] == {"max_inflight_shards": 3, "in_flight": 0}
 
 
 def test_http_stats_endpoint_serves_wire_stats_json():
@@ -740,14 +728,14 @@ def test_unknown_need_instances_digest_fails_fast():
 # ---------------------------------------------------------------------------
 
 
-def test_stream_sends_eagerly_before_first_iteration(process_server):
+def test_stream_sends_eagerly_before_first_iteration(tcp_server):
     """Regression: ``stream()`` used to be a lazy generator — nothing was
     sent until the first ``next()``, so counters lagged and interleaved
     requests could reorder.  The request frame must be on the wire (and
     counted) when ``stream()`` returns."""
     docs = [xml("<a><b/></a>"), xml("<a><b/><b/></a>")]
     workload = Workload.twig(parse_twig("//b"), docs)
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         stream = client.stream(workload)
         # Sent already: request + shipped instances counted pre-iteration.
         assert client.requests == 1
@@ -756,10 +744,10 @@ def test_stream_sends_eagerly_before_first_iteration(process_server):
 
 
 def test_superseded_stream_iterator_raises_without_breaking_connection(
-        process_server):
+        tcp_server):
     docs = [xml("<a><b/></a>"), xml("<a><b/><b/></a>")]
     workload = Workload.twig(parse_twig("//b"), docs)
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         abandoned = client.stream(workload)
         next(abandoned)  # mid-response
         stats = client.stats()  # drains the rest of the old response
@@ -771,9 +759,9 @@ def test_superseded_stream_iterator_raises_without_breaking_connection(
         assert identical_answers(client.run(workload).answers, local.answers)
 
 
-def test_put_instances_requires_keyword_known_digests(process_server):
+def test_put_instances_requires_keyword_known_digests(tcp_server):
     docs = [xml("<a><b/></a>")]
-    with WorkloadClient(*process_server.address) as client:
+    with WorkloadClient(*tcp_server.address) as client:
         with pytest.raises(TypeError):
             client.put_instances(docs, set())  # positional: rejected
         assert client.put_instances(docs, known_digests=set())
@@ -800,77 +788,94 @@ def test_server_thread_close_is_prompt_with_a_stuck_connection():
 
 
 # ---------------------------------------------------------------------------
-# Fair scheduling: per-connection quotas on the shard gate
+# Fair scheduling: one admission slot per connection at a time
 # ---------------------------------------------------------------------------
 
 
-def test_shard_gate_per_owner_quota_blocks_only_the_greedy_owner():
+def test_shard_gate_cancelled_waiter_returns_its_slot():
     import asyncio
 
     from repro.serving import ShardGate
 
     async def scenario():
-        gate = ShardGate(4, per_owner=1)
-        await gate.acquire("greedy")
-        # Greedy at quota: its next acquire parks even though the global
-        # semaphore has slots free...
-        second = asyncio.ensure_future(gate.acquire("greedy"))
-        await asyncio.sleep(0)
-        assert not second.done()
-        # ...while another owner sails through.
-        await gate.acquire("other")
-        assert gate.in_flight == 2 and gate.owners() == 2
-        # Releasing greedy's slot wakes its parked waiter.
-        gate.release("greedy")
-        await asyncio.wait_for(second, timeout=5)
-        gate.release("greedy")
-        gate.release("other")
-        assert gate.in_flight == 0 and gate.owners() == 0
-
-    asyncio.run(scenario())
-
-
-def test_shard_gate_cancelled_waiter_returns_owner_slot():
-    import asyncio
-
-    from repro.serving import ShardGate
-
-    async def scenario():
-        gate = ShardGate(2, per_owner=1)
-        await gate.acquire("a")
-        parked = asyncio.ensure_future(gate.acquire("a"))
+        gate = ShardGate(1)
+        await gate.acquire()
+        parked = asyncio.ensure_future(gate.acquire())
         await asyncio.sleep(0)
         parked.cancel()
         with pytest.raises(asyncio.CancelledError):
             await parked
-        # The cancelled waiter must not leak its reserved owner slot:
-        # a fresh acquire for the same owner still works after release.
-        gate.release("a")
-        await asyncio.wait_for(gate.acquire("a"), timeout=5)
-        gate.release("a")
-        assert gate.in_flight == 0 and gate.owners() == 0
+        # The cancelled waiter must not leak a slot: after the holder
+        # releases, a fresh acquire still gets in.
+        gate.release()
+        await asyncio.wait_for(gate.acquire(), timeout=5)
+        gate.release()
+        assert gate.in_flight == 0
 
     asyncio.run(scenario())
 
 
-class _SleepyExecutor(SerialExecutor):
-    """Inline executor whose every shard costs a fixed latency — makes
+class _SleepyEvaluator(BatchEvaluator):
+    """Shard evaluator whose every shard costs a fixed latency — makes
     admission-order effects observable without loading the CPU."""
 
-    name = "sleepy"
-
     def __init__(self, delay: float) -> None:
+        super().__init__()
         self.delay = delay
 
-    def submit(self, fn, *args):
+    def _eval_shard(self, shard, twig_keys, positions_native=False):
         import time
         time.sleep(self.delay)
-        return super().submit(fn, *args)
+        return super()._eval_shard(shard, twig_keys, positions_native)
+
+
+class _ConcurrencyProbe(BatchEvaluator):
+    """Shard evaluator that records the most shards it ever evaluated at
+    once (each shard sleeps briefly, so overlapping calls would show)."""
+
+    def __init__(self) -> None:
+        import threading
+
+        super().__init__()
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.calls = 0
+
+    def _eval_shard(self, shard, twig_keys, positions_native=False):
+        import time
+
+        with self._lock:
+            self.active += 1
+            self.calls += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.005)
+            return super()._eval_shard(shard, twig_keys, positions_native)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+def test_one_connection_never_evaluates_two_shards_at_once():
+    """A connection's stream holds one admission slot at a time, even
+    when the gate has room for more: an 8-shard workload through a
+    4-slot server evaluates strictly one shard after another."""
+    probe = _ConcurrencyProbe()
+    docs = [xml(f"<a><b/><i>{i}</i></a>") for i in range(8)]
+    workload = Workload.twig(parse_twig("//b"), docs)
+    with ServerThread(AsyncBatchEvaluator(evaluator=probe),
+                      max_inflight_shards=4) as server:
+        with WorkloadClient(*server.address) as client:
+            shard_answers = list(client.stream(workload))
+    assert len(shard_answers) == len(workload.shards()) == 8
+    assert probe.calls == 8
+    assert probe.peak == 1
 
 
 def test_per_connection_quota_keeps_small_sessions_responsive():
     """Two competing connections: a greedy 10-shard session must not
-    monopolise the gate — with ``max_inflight_per_connection=1`` a
+    monopolise the gate — it holds one of the two slots at a time, so a
     one-shard request that arrives *after* it still finishes first."""
     import threading
     import time
@@ -881,8 +886,8 @@ def test_per_connection_quota_keeps_small_sessions_responsive():
     started = threading.Event()
 
     thread = ServerThread(
-        AsyncBatchEvaluator(executor=_SleepyExecutor(0.1)),
-        max_inflight_shards=2, max_inflight_per_connection=1)
+        AsyncBatchEvaluator(evaluator=_SleepyEvaluator(0.1)),
+        max_inflight_shards=2)
     with thread as server:
         def greedy():
             with WorkloadClient(*server.address) as client:

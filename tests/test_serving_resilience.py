@@ -32,7 +32,6 @@ from repro.serving import (
     ProtocolError,
     Refuse,
     RetryPolicy,
-    SerialExecutor,
     ServerThread,
     ShardGate,
     Stall,
@@ -65,8 +64,7 @@ def _workload(n_docs: int = 4) -> Workload:
 
 
 def _local_answers(workload: Workload):
-    return BatchEvaluator(engine=Engine(),
-                          executor=SerialExecutor()).run(workload).answers
+    return BatchEvaluator(engine=Engine()).run(workload).answers
 
 
 def _answers_match(remote, workload) -> bool:
@@ -198,13 +196,13 @@ def test_shard_gate_sheds_expired_deadlines():
     async def scenario():
         gate = ShardGate(2)
         with pytest.raises(DeadlineExceeded):
-            await gate.acquire(None, Deadline.after(0.0))
+            await gate.acquire(Deadline.after(0.0))
         assert gate.deadline_sheds == 1
         assert gate.in_flight == 0
         # A live deadline admits normally and releases cleanly.
-        await gate.acquire(None, Deadline.after(30.0))
+        await gate.acquire(Deadline.after(30.0))
         assert gate.in_flight == 1
-        gate.release(None)
+        gate.release()
         assert gate.in_flight == 0
 
     asyncio.run(scenario())
