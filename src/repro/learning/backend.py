@@ -11,8 +11,8 @@ implementations:
     In-process evaluation on the caller's thread against one
     :class:`~repro.engine.core.Engine` (indexes and memos shared and
     warm), through a :class:`~repro.serving.evaluator.BatchEvaluator`:
-    whole candidate generations shard per instance, and streamed shapes
-    surface answers shard-by-shard.  The default of every learner and
+    whole candidate generations shard per instance, and :meth:`stream`
+    surfaces answers shard by shard.  The default of every learner and
     session.
 
 :class:`RemoteBackend`
@@ -40,12 +40,14 @@ cache hit rates locally, round-trips + bytes + live server-side engine
 stats remotely).
 
 The derived membership shapes are implemented **once**, here, on top of
-the ``run``/``stream`` primitives — so answer grouping, position
-alignment, and ``None``-hypothesis semantics are identical across
-backends by construction, not by parallel re-implementation.  There is
-one shard evaluator, :class:`~repro.serving.evaluator.BatchEvaluator`:
-:class:`LocalBackend` runs it in-process, and a server runs it behind
-:class:`RemoteBackend`.
+one primitive, ``_stream`` — ``run`` assembles it — so answer grouping,
+position alignment, and ``None``-hypothesis semantics are identical
+across backends by construction, not by parallel re-implementation.
+Every membership shape is one complete request: a caller reads a whole
+response before it starts the next, so a backend needs one connection
+and serves one thread at a time.  There is one shard evaluator,
+:class:`~repro.serving.evaluator.BatchEvaluator`: :class:`LocalBackend`
+runs it in-process, and a server runs it behind :class:`RemoteBackend`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from typing import Any
 
 from repro.engine import Engine, LRUCache, get_engine
@@ -182,9 +185,9 @@ def _prefetch_key(item: WorkloadItem) -> str | None:
 class EvaluationBackend:
     """Where hypotheses get evaluated; the learning layer's only seam.
 
-    Subclasses implement the primitives ``_run`` / ``_stream`` (and may
-    override the acceptance probes with cheaper equivalents, as the
-    remote backend does); everything else — the selects / accepts
+    Subclasses implement the one primitive ``_stream`` (and may override
+    the acceptance probes with cheaper equivalents, as the remote
+    backend does); everything else — ``run``, the selects / accepts
     membership shapes, ``map``, position-aligned grouping, ``None``
     hypothesis semantics — is derived here once, identically for every
     backend.  Backends are context managers; ``close()`` releases any
@@ -205,8 +208,8 @@ class EvaluationBackend:
         #: backend's evaluation tier already holds.  The local backend
         #: evaluates in-process against the caller's own objects,
         #: so the registry stays empty (there is nothing to ship); the
-        #: remote backend shares one registry across its whole connection
-        #: pool, which is what makes a session ship each instance once.
+        #: remote backend keeps it for its connection, which is what
+        #: makes a session ship each instance once.
         self.known_digests: set[str] = set()
         self._batches = 0
         self._items = 0
@@ -218,11 +221,8 @@ class EvaluationBackend:
         self._prefetch_counts = {"submitted": 0, "hits": 0, "wasted": 0}
 
     # ------------------------------------------------------------------
-    # Primitives (subclass responsibility)
+    # The primitive (subclass responsibility)
     # ------------------------------------------------------------------
-    def _run(self, workload: Workload) -> WorkloadResult:
-        raise NotImplementedError
-
     def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
         raise NotImplementedError
 
@@ -231,17 +231,8 @@ class EvaluationBackend:
     # ------------------------------------------------------------------
     def run(self, workload: Workload) -> WorkloadResult:
         """Evaluate every item; answers aligned with item order."""
-        self._batches += 1
-        self._items += len(workload)
-        served = self._serve_prefetched(workload)
-        if served is not None:
-            answers: list = [None] * len(workload)
-            for shard_answer in served:
-                for position, answer in shard_answer:
-                    answers[position] = answer
-            return WorkloadResult(workload, tuple(answers), self.name,
-                                  len(served))
-        return self._run(workload)
+        return WorkloadResult.assemble(workload, self.stream(workload),
+                                       self.name)
 
     def evaluate_batch(self, workload: Workload) -> WorkloadResult:
         """Protocol name for :meth:`run` — one candidate generation in,
@@ -277,7 +268,8 @@ class EvaluationBackend:
         if not len(workload):
             return 0
         self._prefetch_counts["submitted"] += len(workload)
-        result = self._run(workload)
+        result = WorkloadResult.assemble(workload, self._stream(workload),
+                                         self.name)
         for item, answer in zip(workload, result.answers):
             key = _prefetch_key(item)
             if key is None:
@@ -335,30 +327,6 @@ class EvaluationBackend:
         answers = self.evaluate_twig_batch(query, documents)
         return _classify(candidates, documents, answers)
 
-    def selects_stream(
-        self, query: TwigQuery | None, candidates: Sequence[Candidate],
-    ) -> Iterator[list[tuple[int, bool]]]:
-        """Stream :meth:`selects_batch` flags document-by-document.
-
-        Yields ``[(candidate_position, selected), ...]`` groups as each
-        document's shard completes; the union of groups covers every
-        position exactly once with flags equal to :meth:`selects_batch`.
-        Only group arrival order depends on the backend.
-        """
-        if not candidates:
-            return
-        if query is None:
-            yield [(i, False) for i in range(len(candidates))]
-            return
-        documents, positions = _group_by_document(candidates)
-        for shard_answer in self.stream(Workload.twig(query, documents)):
-            out: list[tuple[int, bool]] = []
-            for doc_position, answer in shard_answer:
-                selected = {id(n) for n in answer}
-                for i in positions[id(documents[doc_position])]:
-                    out.append((i, id(candidates[i][1]) in selected))
-            yield out
-
     def selects_any(self, query: TwigQuery | None,
                     candidates: Sequence[Candidate]) -> bool:
         """Does ``query`` select *some* candidate?  Short-circuiting
@@ -392,13 +360,6 @@ class EvaluationBackend:
         """One path query probed with many words."""
         return list(self.run(Workload.accepts(query, words)).answers)
 
-    def accepts_stream(
-        self, query: object, words: Sequence[Sequence[str]],
-    ) -> Iterator[list[tuple[int, bool]]]:
-        """Stream :meth:`accepts_batch` flags sub-shard by sub-shard."""
-        for shard_answer in self.stream(Workload.accepts(query, words)):
-            yield list(shard_answer)
-
     def accepts_any(self, query: object,
                     words: Sequence[Sequence[str]]) -> bool:
         """Does the query language contain *some* word?  Short-circuiting."""
@@ -412,21 +373,6 @@ class EvaluationBackend:
         """Order-preserving map for arbitrary pure per-item work."""
         self._map_calls += 1
         return [fn(item) for item in items]
-
-    def map_stream(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                   ) -> Iterator[list[tuple[int, Any]]]:
-        """Stream :meth:`map` results group-at-a-time (position-tagged)."""
-        self._map_calls += 1
-        items = list(items)
-        if not items:
-            return
-        n_groups = min(4, len(items))
-        base, extra = divmod(len(items), n_groups)
-        start = 0
-        for g in range(n_groups):
-            size = base + (1 if g < extra else 0)
-            yield [(i, fn(items[i])) for i in range(start, start + size)]
-            start += size
 
     # ------------------------------------------------------------------
     # Hypothesis construction (always client-side)
@@ -500,11 +446,6 @@ class LocalBackend(EvaluationBackend):
         super().__init__(engine=self.evaluator.engine)
         self._shards = 0
 
-    def _run(self, workload: Workload) -> WorkloadResult:
-        result = self.evaluator.run(workload)
-        self._shards += result.n_shards
-        return result
-
     def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
         for shard_answer in self.evaluator.run_stream(workload):
             self._shards += 1
@@ -520,7 +461,7 @@ class LocalBackend(EvaluationBackend):
 
 
 class RemoteBackend(EvaluationBackend):
-    """Evaluate against a TCP serving tier through workload clients.
+    """Evaluate against a TCP serving tier through one workload client.
 
     All hypothesis *evaluation* crosses the wire; answers decode onto
     the caller's own objects, so learners see node identity exactly as
@@ -528,63 +469,55 @@ class RemoteBackend(EvaluationBackend):
     pool enumeration) and :meth:`map` closures stay client-side — they
     operate on local data and never serialise.
 
-    The backend keeps a small **connection pool**: each in-flight
-    request checks a connection out and returns it when its response
-    stream is consumed or abandoned.  The interactive sessions need this
-    — they fire implied-negative probes *while* consuming a streamed
-    classification round, i.e. nested requests during an active
-    response, which one serial connection cannot interleave.  Pool size
-    is bounded by the request nesting depth (two for every session in
-    the library).
+    The backend holds **one connection**, :attr:`client`: every session
+    round is one complete request followed by its probes, so no request
+    ever starts while another's response is still being read.
 
-    Instances are **shipped once per backend**: one
-    :attr:`~EvaluationBackend.known_digests` registry spans the whole
-    pool, so whichever pooled connection carries a round, instances the
-    server already holds travel as content-addressed refs.  The registry
-    is optimistic — a server-side eviction surfaces as one transparent
-    ``need_instances`` re-ship, never an error — and
+    Instances are **shipped once per backend**: the
+    :attr:`~EvaluationBackend.known_digests` registry records what the
+    server holds, so later rounds send content-addressed refs.  The
+    registry is optimistic — a server-side eviction surfaces as one
+    transparent ``need_instances`` re-ship, never an error — and
     :meth:`warm_instances` pre-ships a corpus so even the first round
     sends refs.  :meth:`stats` reports the bytes the refs saved.
+    Speculative answers parked by :meth:`prefetch` serve the next
+    matching round with no round trip, as on every backend.
 
     Single-word :meth:`accepts` probes are memoised client-side (they
     are pure in ``(query, word)``), so oracle-style repeated probes do
-    not pay a round trip each; :meth:`accepts_any` short-circuits by
-    abandoning the response stream at the first accepted word (the
-    protocol drains the remainder before that connection's next use).
+    not pay a round trip each; :meth:`accepts_any` sends one batch and
+    memoises every verdict.
 
-    Construct with ``RemoteBackend(host, port)`` (owns its connections;
-    ``close()`` closes them all) or ``RemoteBackend(client=...)`` to
-    seed the pool with a caller-managed client — ``close()`` then closes
-    only the extra connections the backend itself opened.
+    Construct with ``RemoteBackend(host, port)``; ``close()`` closes the
+    connection.  The peer can be a single
+    :class:`~repro.serving.net.WorkloadServer` **or** a
+    :class:`~repro.serving.fleet.FleetRouter` — the router speaks the
+    identical protocol, so pointing a backend at a fleet changes where
+    shards evaluate and nothing else: same learned query, same question
+    sequence, same node objects.  Fleet failover and member drains are
+    invisible here too; at worst a round pays one extra
+    ``need_instances`` re-ship for a digest that moved.
 
-    The peer can be a single :class:`~repro.serving.net.WorkloadServer`
-    **or** a :class:`~repro.serving.fleet.FleetRouter` — the router
-    speaks the identical protocol, so pointing a backend at a fleet
-    changes where shards evaluate and nothing else: same learned query,
-    same question sequence, same node objects.  Fleet failover and
-    member drains are invisible here too; at worst a round pays one
-    extra ``need_instances`` re-ship for a digest that moved.
-
-    The backend is **self-healing by default**: pool connections carry a
+    The backend is **self-healing by default**: its connection carries a
     :class:`~repro.serving.resilience.RetryPolicy` (bounded backoff,
     seeded jitter), so a connection killed mid-round reconnects and
     replays transparently — and every reconnect clears
     :attr:`~EvaluationBackend.known_digests`, so a server that restarted
     with an empty store is re-shipped the corpus instead of being sent
     refs it cannot resolve (pass ``retry=None`` explicitly for the old
-    fail-fast behaviour).  A :class:`~repro.serving.resilience.CircuitBreaker`
-    sits in front of the pool: after ``failure_threshold`` consecutive
-    failed rounds, requests fail fast with
+    fail-fast behaviour).  A connection a failed request left broken is
+    re-dialed in place by the next request, so its counters stay in
+    :meth:`stats`.  A :class:`~repro.serving.resilience.CircuitBreaker`
+    guards every request: after ``failure_threshold`` consecutive failed
+    requests, requests fail fast with
     :class:`~repro.errors.ServiceUnavailable` instead of each paying the
-    full dial-and-retry cost, and after its cooldown one checkout probes
-    the peer with a ``ping`` before the pool resumes.  ``request_deadline``
-    (seconds) gives every round a per-request
+    full dial-and-retry cost, and after its cooldown one request probes
+    the peer with a ``ping`` first.  ``request_deadline`` (seconds) gives
+    every round a per-request
     :class:`~repro.serving.resilience.Deadline` budget, flowing into
     socket timeouts and the wire ``deadline_ms`` field so the server can
-    shed work nobody is waiting for.  Broken connections are evicted
-    from the pool at check-in (their counters fold into :meth:`stats`,
-    which also reports ``retries``/``reconnects``/``replays`` and the
-    breaker state).
+    shed work nobody is waiting for.  :meth:`stats` reports
+    ``retries``/``reconnects``/``replays`` and the breaker state.
     """
 
     name = "remote"
@@ -592,65 +525,27 @@ class RemoteBackend(EvaluationBackend):
     #: Sentinel: "no retry argument given" (``None`` must mean *disable*).
     _DEFAULT_RETRY = object()
 
-    def __init__(self, host: str | None = None, port: int | None = None, *,
-                 client: WorkloadClient | None = None,
+    def __init__(self, host: str, port: int, *,
                  engine: Engine | None = None,
                  timeout: float | None = 30.0,
                  retry: "RetryPolicy | None | object" = _DEFAULT_RETRY,
                  breaker: CircuitBreaker | None = None,
                  request_deadline: float | None = None) -> None:
-        self._timeout = timeout
+        super().__init__(engine=engine)
         if retry is RemoteBackend._DEFAULT_RETRY:
             retry = RetryPolicy()
-        self._retry: RetryPolicy | None = retry  # type: ignore[assignment]
+        policy: RetryPolicy | None = retry  # type: ignore[assignment]
         self._breaker = breaker if breaker is not None else CircuitBreaker()
         self._request_deadline = request_deadline
-        # Counters of evicted (broken) pool connections, folded into
-        # stats() so eviction never under-reports traffic.
-        self._retired = {"connections": 0, "requests": 0, "bytes_sent": 0,
-                         "bytes_received": 0, "instances_shipped": 0,
-                         "bytes_saved": 0, "retries": 0, "reconnects": 0,
-                         "replays": 0}
-        if client is not None:
-            if host is not None or port is not None:
-                raise ValueError("pass host/port or a ready client, not both")
-            if client.closed:
-                raise RuntimeError(
-                    "client is closed; pass an open WorkloadClient")
-            self.client = client
-            self._own_primary = False
-            peer = client._sock.getpeername()
-            self._host, self._port = peer[0], peer[1]
-            # Extra pool connections must behave like the seeded one: a
-            # 30s default here would time out nested probes on servers
-            # the caller deliberately gave a longer (or no) deadline.
-            self._timeout = client._sock.gettimeout()
-        else:
-            if host is None or port is None:
-                raise ValueError("RemoteBackend needs host and port "
-                                 "(or a ready client)")
-            self._host, self._port = host, port
-            self.client = self._dial()
-            self._own_primary = True
-        super().__init__(engine=engine)
+        self._peer = f"{host}:{port}"
+        self.client = WorkloadClient(host, port, timeout=timeout,
+                                     retry=policy,
+                                     on_reconnect=self._note_reconnect)
         self._accepts_memo = LRUCache(8192)
         self._closed = False
-        # Every connection ever opened (for aggregate counters) and the
-        # subset currently idle (for reuse).  The primary seeds the pool.
-        self._clients: list[WorkloadClient] = [self.client]
-        self._idle: list[WorkloadClient] = [self.client]
-
-    # -- connection pool ------------------------------------------------
-    def _dial(self, host: str | None = None,
-              port: int | None = None) -> WorkloadClient:
-        return WorkloadClient(
-            host if host is not None else self._host,
-            port if port is not None else self._port,
-            timeout=self._timeout, retry=self._retry,
-            on_reconnect=self._note_reconnect)
 
     def _note_reconnect(self) -> None:
-        """A pool connection re-dialed: distrust the digest registry.
+        """The connection re-dialed: distrust the digest registry.
 
         The reconnect may mean the server restarted with an empty store;
         clearing makes the next round ship full records (a *running*
@@ -666,84 +561,38 @@ class RemoteBackend(EvaluationBackend):
             return None
         return Deadline.after(self._request_deadline)
 
-    def _checkout(self) -> WorkloadClient:
+    @contextmanager
+    def _request(self) -> Iterator[WorkloadClient]:
+        """The connection for one request, behind the circuit breaker.
+
+        A broken connection is re-dialed in place first, and a
+        half-open breaker pings the peer before the request goes out.
+        Afterwards the breaker records a failure if the connection
+        broke and a success otherwise.
+        """
         if self._closed:
             raise RuntimeError("backend is closed; construct a new one")
-        probe = False
-        if self._breaker is not None:
-            probe = self._breaker.state == "half_open"
-            self._breaker.guard(f"{self._host}:{self._port}")
+        client = self.client
+        probe = self._breaker.state == "half_open"
+        self._breaker.guard(self._peer)
         try:
-            client = None
-            while self._idle:
-                candidate = self._idle.pop()
-                if not candidate.closed and not candidate._broken:
-                    client = candidate
-                    break
-                self._evict(candidate)
-            if client is None:
-                client = self._dial()
-                self._clients.append(client)
+            if client._broken:
+                client._reconnect()
             if probe:
-                # Half-open: prove the peer answers before letting the
-                # round (and its retry budget) through.
                 client.ping()
-        except Exception:
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        if probe and self._breaker is not None:
-            self._breaker.record_success()
-        return client
-
-    def _evict(self, client: WorkloadClient) -> None:
-        """Drop a dead connection from the pool, keeping its counters."""
-        if client in self._clients:
-            self._clients.remove(client)
-            self._retired["connections"] += 1
-            self._retired["requests"] += client.requests
-            self._retired["bytes_sent"] += client.bytes_sent
-            self._retired["bytes_received"] += client.bytes_received
-            self._retired["instances_shipped"] += client.instances_shipped
-            self._retired["bytes_saved"] += client.bytes_saved
-            self._retired["retries"] += client.retries
-            self._retired["reconnects"] += client.reconnects
-            self._retired["replays"] += client.replays
-        if client is not self.client or self._own_primary:
-            client.close()
-
-    def _checkin(self, client: WorkloadClient) -> None:
-        if self._breaker is not None and not self._closed:
-            if client._broken or client.closed:
-                self._breaker.record_failure()
-            else:
-                self._breaker.record_success()
-        if client.closed:
-            self._evict(client)
-            return
-        if client._broken:
-            self._evict(client)
-            return
-        self._idle.append(client)
-
-    def _run(self, workload: Workload) -> WorkloadResult:
-        client = self._checkout()
-        try:
-            return client.run(workload, known_digests=self.known_digests,
-                              deadline=self._deadline())
+            yield client
         finally:
-            self._checkin(client)
+            if not self._closed:
+                if client._broken or client.closed:
+                    self._breaker.record_failure()
+                else:
+                    self._breaker.record_success()
 
     def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
-        client = self._checkout()
-        try:
+        with self._request() as client:
             yield from client.stream(workload,
                                      known_digests=self.known_digests,
                                      deadline=self._deadline())
-        finally:
-            # Runs on completion, on abandonment (generator close), and
-            # on error; an abandoned response drains on next checkout.
-            self._checkin(client)
 
     def warm_instances(self, instances: Sequence[object]) -> dict[str, int]:
         """Ship a corpus to the server's store before the first round."""
@@ -756,12 +605,9 @@ class RemoteBackend(EvaluationBackend):
                 to_ship.append(instance)
         if not to_ship:
             return {"shipped": 0, "bytes": 0}
-        client = self._checkout()
-        try:
+        with self._request() as client:
             shipped = client.put_instances(
                 to_ship, known_digests=self.known_digests)
-        finally:
-            self._checkin(client)
         return {"shipped": len(shipped), "bytes": sum(fresh.values())}
 
     def accepts(self, query: object, word: Sequence[str]) -> bool:
@@ -775,92 +621,40 @@ class RemoteBackend(EvaluationBackend):
     def accepts_any(self, query: object,
                     words: Sequence[Sequence[str]]) -> bool:
         words = [tuple(w) for w in words]
-        for group in self.accepts_stream(query, words):
-            for position, accepted in group:
-                self._accepts_memo.put(
-                    (query_key(query), words[position]), accepted)
-            if any(accepted for _, accepted in group):
-                return True
-        return False
+        verdicts = self.accepts_batch(query, words)
+        key = query_key(query)
+        for word, accepted in zip(words, verdicts):
+            self._accepts_memo.put((key, word), accepted)
+        return any(verdicts)
 
-    def prefetch(self, workload: Workload) -> int:
-        """Ship the round prefetch-flagged instead of parking it locally.
-
-        The server evaluates the flagged workload — warming its engine
-        indexes and per-query caches — and parks the items' keys in its
-        prefetch ledger.  The real round re-sends the same items, so the
-        server's submitted/hits/wasted block (the wire ``stats`` frame
-        and ``GET /stats``) stays truthful; answers are deliberately
-        *not* parked client-side, since serving the real round locally
-        would hide the hit from the server's ledger.
-        """
-        if not len(workload):
-            return 0
-        self._prefetch_counts["submitted"] += len(workload)
-        client = self._checkout()
-        try:
-            client.run(workload, known_digests=self.known_digests,
-                       prefetch=True)
-        finally:
-            self._checkin(client)
-        return len(workload)
+    # The base ledger, bound here too: perfbench wraps RemoteBackend.prefetch.
+    prefetch = EvaluationBackend.prefetch
 
     def stats(self) -> dict[str, object]:
-        retired = self._retired
+        client = self.client
         out = {**super().stats(),
-               "connections": len(self._clients) + retired["connections"],
-               "round_trips": retired["requests"] + sum(
-                   c.requests for c in self._clients),
-               "bytes_sent": retired["bytes_sent"] + sum(
-                   c.bytes_sent for c in self._clients),
-               "bytes_received": retired["bytes_received"] + sum(
-                   c.bytes_received for c in self._clients),
-               "instances_shipped": retired["instances_shipped"] + sum(
-                   c.instances_shipped for c in self._clients),
-               "bytes_saved": retired["bytes_saved"] + sum(
-                   c.bytes_saved for c in self._clients),
-               "retries": retired["retries"] + sum(
-                   c.retries for c in self._clients),
-               "reconnects": retired["reconnects"] + sum(
-                   c.reconnects for c in self._clients),
-               "replays": retired["replays"] + sum(
-                   c.replays for c in self._clients),
-               "evicted_connections": retired["connections"],
-               "breaker": None if self._breaker is None
-               else self._breaker.stats(),
-               "breaker_state": None if self._breaker is None
-               else self._breaker.state,
+               "round_trips": client.requests,
+               "bytes_sent": client.bytes_sent,
+               "bytes_received": client.bytes_received,
+               "instances_shipped": client.instances_shipped,
+               "bytes_saved": client.bytes_saved,
+               "retries": client.retries,
+               "reconnects": client.reconnects,
+               "replays": client.replays,
+               "breaker": self._breaker.stats(),
+               "breaker_state": self._breaker.state,
                "known_digests": len(self.known_digests)}
         try:
-            client = self._checkout()
-            try:
+            with self._request() as client:
                 out["server"] = client.stats()
-            finally:
-                self._checkin(client)
         except Exception as exc:  # noqa: BLE001 - stats must stay best-effort
             out["server"] = {"error": str(exc)}
-        server = out["server"]
-        if isinstance(server, dict) \
-                and isinstance(server.get("prefetch"), dict):
-            # Hit accounting lives server-side on this backend (the
-            # ledger sees both the flagged and the real frames).
-            out["prefetch"] = {**out["prefetch"],  # type: ignore[dict-item]
-                               "hits": server["prefetch"].get("hits", 0),
-                               "wasted": server["prefetch"].get("wasted", 0)}
         return out
 
     def close(self) -> None:
-        """Close pooled connections; further evaluation calls raise.
-
-        A caller-supplied primary client is left open (the caller owns
-        it); every connection the backend dialled itself is closed.
-        """
+        """Close the connection; further evaluation calls raise."""
         self._closed = True
-        for client in self._clients:
-            if client is self.client and not self._own_primary:
-                continue
-            client.close()
-        self._idle = []
+        self.client.close()
 
 
 def as_backend(backend: EvaluationBackend | None = None) -> EvaluationBackend:

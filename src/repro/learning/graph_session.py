@@ -63,19 +63,13 @@ class InteractivePathSession:
         max_length: int = 8,
         max_candidates: int = 200,
         backend: EvaluationBackend | None = None,
-        prefetch: bool = True,
     ) -> None:
         self.graph = graph
         self.goal = goal
         self.priors = priors
-        #: Speculate between rounds: after each answer, submit the next
-        #: acceptance scan (updated hypothesis over all pending words)
-        #: through the backend's prefetch path.
-        self.prefetch = prefetch
         # The per-interaction acceptance scan over all pending words runs
-        # as one backend batch, consumed sub-shard by sub-shard (same
-        # memoised answers, any backend, order-independent
-        # flags).  The candidate enumeration is backend-served and cached
+        # as one complete backend batch, followed by its implied-negative
+        # probes.  The candidate enumeration is backend-served and cached
         # per (graph, endpoints) — always client-side pool construction,
         # even on a remote backend.
         self.backend = as_backend(backend)
@@ -107,22 +101,17 @@ class InteractivePathSession:
     def _informative_flags(self, hypothesis: PathQuery | None,
                            pending: list[Word],
                            negatives: list[Word]) -> list[bool]:
-        """Streamed acceptance round: which pending words stay informative?
+        """One acceptance round: which pending words stay informative?
 
-        Consumes the acceptance batch sub-shard by sub-shard
-        (:meth:`~repro.learning.backend.EvaluationBackend.accepts_stream`),
-        running each arrived word's implied-negative probe while later
-        sub-shards are still being checked.  Flags are position-aligned,
-        so the proposal sequence never depends on shard arrival order.
+        One complete acceptance batch checks every pending word; then
+        each rejected word's implied-negative probe runs, in pool order.
         """
         if hypothesis is None:
             return [True] * len(pending)
-        flags = [False] * len(pending)
-        for group in self.backend.accepts_stream(hypothesis, pending):
-            for position, acc in group:
-                flags[position] = not acc and not self._implied_negative(
-                    hypothesis, pending[position], negatives)
-        return flags
+        accepted = self.backend.accepts_batch(hypothesis, pending)
+        return [not acc and not self._implied_negative(hypothesis, word,
+                                                       negatives)
+                for word, acc in zip(pending, accepted)]
 
     # ------------------------------------------------------------------
     def run(self, *, max_questions: int | None = None) -> PathSessionResult:
@@ -133,8 +122,7 @@ class InteractivePathSession:
         converged_at: int | None = None
 
         while True:
-            # One acceptance batch per interaction over all pending words,
-            # consumed shard-by-shard.
+            # One acceptance batch per interaction over all pending words.
             flags = self._informative_flags(hypothesis, pending, negatives)
             informative = [w for w, flag in zip(pending, flags) if flag]
             if not informative:
@@ -157,20 +145,18 @@ class InteractivePathSession:
                     converged_at = stats.questions
             else:
                 negatives.append(word)
-            if self.prefetch and hypothesis is not None and pending:
+            if hypothesis is not None and pending:
                 # Between rounds: the next acceptance scan asks exactly
                 # this batch.
                 self.backend.prefetch(Workload.accepts(hypothesis, pending))
 
-        # Final label propagation, streamed over the same sub-shards.
+        # Final label propagation: one batch, then its probes.
         if hypothesis is not None:
-            for group in self.backend.accepts_stream(hypothesis, pending):
-                for position, acc in group:
-                    if acc:
-                        stats.implied_positive += 1
-                    elif self._implied_negative(hypothesis,
-                                                pending[position],
-                                                negatives):
-                        stats.implied_negative += 1
+            accepted = self.backend.accepts_batch(hypothesis, pending)
+            for word, acc in zip(pending, accepted):
+                if acc:
+                    stats.implied_positive += 1
+                elif self._implied_negative(hypothesis, word, negatives):
+                    stats.implied_negative += 1
         return PathSessionResult(hypothesis, stats, len(self.candidates),
                                  converged_at)

@@ -150,9 +150,8 @@ class InteractiveJoinSession:
         self.goal = goal
         self.strategy = strategy or LatticeStrategy()
         # The per-interaction informativeness scan over the pending pool
-        # runs through the evaluation backend, consumed chunk-by-chunk as
-        # chunks complete; flags are reassembled by position, so the
-        # proposal sequence is identical under any backend.
+        # runs through the evaluation backend's order-preserving map, so
+        # the proposal sequence is identical under any backend.
         self.backend = as_backend(backend)
         r = make_rng(rng)
         pool = [(lrow, rrow) for lrow in left for rrow in right]
@@ -175,13 +174,9 @@ class InteractiveJoinSession:
         stats = SessionStats()
         pending = list(self.pool)
         while True:
-            # Streamed scan: chunks of the pending pool surface as they
-            # complete, and the informative list is rebuilt in pool order.
-            flags = [False] * len(pending)
-            for group in self.backend.map_stream(
-                    lambda pair: self.space.is_informative(*pair), pending):
-                for position, flag in group:
-                    flags[position] = flag
+            # One scan over the pending pool, flags in pool order.
+            flags = self.backend.map(
+                lambda pair: self.space.is_informative(*pair), pending)
             informative = [p for p, flag in zip(pending, flags) if flag]
             if not informative:
                 break

@@ -21,17 +21,14 @@ supplied.
 
 The per-interaction re-evaluation — classify every pending candidate
 against the current hypothesis — runs through the session's
-:class:`~repro.learning.backend.EvaluationBackend` as one batch per round
-(the hypothesis is evaluated once per distinct document, not once per
-candidate), consumed *shard-by-shard*: as each document's answer set
-arrives, that document's candidates are classified and their
-implied-negative probes run immediately, overlapping with the evaluation
-of the rest of the corpus instead of waiting on the whole batch.  The
-informative set (and with it every question asked) is assembled in pool
-order regardless of shard arrival order, so the session accepts any
-backend — local, a remote server, or a fleet behind its router —
-without changing a single question (``SessionStats.asked`` records the
-sequence so the invariance suites can assert exactly that).
+:class:`~repro.learning.backend.EvaluationBackend` as one complete batch
+per round (the hypothesis is evaluated once per distinct document, not
+once per candidate); then each unselected candidate gets its
+implied-negative probe, in pool order.  Every request completes before
+the next starts, so the session accepts any backend — local, a remote
+server, or a fleet behind its router — over one connection and without
+changing a single question (``SessionStats.asked`` records the sequence
+so the invariance suites can assert exactly that).
 """
 
 from __future__ import annotations
@@ -76,7 +73,6 @@ class InteractiveTwigSession:
         max_pool: int | None = 300,
         practical: bool = True,
         backend: EvaluationBackend | None = None,
-        prefetch: bool = True,
     ) -> None:
         if not documents:
             raise LearningError("the session needs at least one document")
@@ -85,12 +81,6 @@ class InteractiveTwigSession:
         self.schema = schema
         self.practical = practical
         self.backend = as_backend(backend)
-        #: Speculate between rounds: after each answer, submit the next
-        #: round's classification batch (the updated hypothesis over the
-        #: pending candidates' documents) through the backend's prefetch
-        #: path, so the round the user triggers is served from parked
-        #: answers (or, remotely, the server's warm caches).
-        self.prefetch = prefetch
         pool: list[Candidate] = []
         # Stable question descriptors for SessionStats.asked: the node's
         # (document position, pre-order position), identical across
@@ -134,22 +124,17 @@ class InteractiveTwigSession:
     def _informative_flags(self, hypothesis: TwigQuery | None,
                            pending: list[Candidate],
                            negatives: list[Candidate]) -> list[bool]:
-        """Streamed classification round: which pending candidates remain
+        """One classification round: which pending candidates remain
         informative under the current hypothesis?
 
-        Consumes the selection batch document-by-document
-        (:meth:`~repro.learning.backend.EvaluationBackend.selects_stream`):
-        the implied-negative probes for one document's candidates run
-        while the other documents' shards are still evaluating.  Flags
-        are position-aligned, so the result — and every question derived
-        from it — is independent of shard completion order.
+        One complete selection batch classifies every pending candidate;
+        then each unselected candidate's implied-negative probe runs, in
+        pool order.
         """
-        flags = [False] * len(pending)
-        for group in self.backend.selects_stream(hypothesis, pending):
-            for position, sel in group:
-                flags[position] = not sel and not self._implied_negative(
-                    hypothesis, pending[position], negatives)
-        return flags
+        selected = self.backend.selects_batch(hypothesis, pending)
+        return [not sel and not self._implied_negative(hypothesis, candidate,
+                                                       negatives)
+                for candidate, sel in zip(pending, selected)]
 
     # ------------------------------------------------------------------
     def run(self, *, max_questions: int | None = None) -> TwigSessionResult:
@@ -161,7 +146,7 @@ class InteractiveTwigSession:
         while True:
             # One batch per interaction: the hypothesis is evaluated once
             # per distinct document, then every pending candidate is
-            # classified against the answer sets, shard by shard.
+            # classified against the answer sets.
             informative = [
                 c for c, flag in zip(pending, self._informative_flags(
                     hypothesis, pending, negatives))
@@ -182,20 +167,19 @@ class InteractiveTwigSession:
                 hypothesis = self._extend(hypothesis, candidate)
             else:
                 negatives.append(candidate)
-            if self.prefetch and hypothesis is not None and pending:
+            if hypothesis is not None and pending:
                 # Between rounds: the next classification round asks for
                 # exactly this batch.
                 self.backend.prefetch(
                     Workload.twig(hypothesis, distinct_documents(pending)))
 
-        # Final label propagation, shard-streamed the same way.
-        for group in self.backend.selects_stream(hypothesis, pending):
-            for position, sel in group:
-                if sel:
-                    stats.implied_positive += 1
-                elif self._implied_negative(hypothesis, pending[position],
-                                            negatives):
-                    stats.implied_negative += 1
+        # Final label propagation: one batch, then its probes.
+        selected = self.backend.selects_batch(hypothesis, pending)
+        for candidate, sel in zip(pending, selected):
+            if sel:
+                stats.implied_positive += 1
+            elif self._implied_negative(hypothesis, candidate, negatives):
+                stats.implied_negative += 1
 
         final = hypothesis
         if final is not None and self.schema is not None:

@@ -28,7 +28,7 @@ Architecture
     ``run`` returns the position-aligned result and ``run_stream``
     surfaces answers shard-by-shard (position-tagged) instead of
     waiting on the whole batch.  The membership shapes the
-    learners call (``selects*``, ``accepts*``, ``map*``) are built once
+    learners call (``selects*``, ``accepts*``, ``map``) are built once
     on these two, by :class:`~repro.learning.backend.EvaluationBackend`.
 
 :class:`~repro.serving.async_evaluator.AsyncBatchEvaluator`

@@ -97,13 +97,9 @@ class AsyncBatchEvaluator:
     # ------------------------------------------------------------------
     async def run(self, workload: Workload) -> WorkloadResult:
         """Deterministic ordered merge of the stream (parity with sync)."""
-        answers: list = [None] * len(workload)
-        n_shards = 0
-        async for shard_answer in self.stream(workload):
-            n_shards += 1
-            for position, answer in shard_answer:
-                answers[position] = answer
-        return WorkloadResult(workload, tuple(answers), self.name, n_shards)
+        shard_answers = [shard_answer
+                         async for shard_answer in self.stream(workload)]
+        return WorkloadResult.assemble(workload, shard_answers, self.name)
 
     async def first_answer(self, workload: Workload) -> ShardAnswer:
         """The first shard's answers (the streamed-latency probe); later

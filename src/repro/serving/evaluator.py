@@ -20,9 +20,10 @@ Two consumption shapes share those contracts: :meth:`BatchEvaluator.run`
 materialises the whole position-aligned result, and
 :meth:`BatchEvaluator.run_stream` yields each shard's answers as soon as
 that shard is evaluated, before later shards have started — the
-sessions' streaming classification loops and the async/network
-front-end (:mod:`repro.serving.async_evaluator`,
-:mod:`repro.serving.net`) are built on it.  Streaming only changes
+async/network front-end (:mod:`repro.serving.async_evaluator`,
+:mod:`repro.serving.net`) and
+:meth:`LocalBackend.stream <repro.learning.backend.EvaluationBackend.stream>`
+are built on it, and ``run`` reassembles it.  Streaming only changes
 *when* answers become visible, never what they are.
 
 Batching also does strictly less work than the serial loop: canonical
@@ -59,13 +60,8 @@ class BatchEvaluator:
 
     def run(self, workload: Workload) -> WorkloadResult:
         """Evaluate every item; answers aligned with item order."""
-        answers: list = [None] * len(workload)
-        n_shards = 0
-        for shard_answer in self.run_stream(workload):
-            n_shards += 1
-            for position, answer in shard_answer:
-                answers[position] = answer
-        return WorkloadResult(workload, tuple(answers), self.name, n_shards)
+        return WorkloadResult.assemble(workload, self.run_stream(workload),
+                                       self.name)
 
     def run_stream(self, workload: Workload, *,
                    positions_native: bool = False,

@@ -56,7 +56,6 @@ import asyncio
 import json
 import socket
 import threading
-from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 
 from repro.errors import DeadlineExceeded
@@ -175,13 +174,6 @@ class WorkloadServer:
         # holds the base.  lock-free: event-loop thread only (appliers
         # run during decode, which happens on the loop).
         self._active_refs: dict[str, int] = {}
-        # Speculative-prefetch ledger: frame-level keys of prefetch
-        # items not yet claimed by a normal request (True values; FIFO
-        # pruned above the cap, pruned entries count as wasted).
-        # lock-free: event-loop thread only.
-        self._prefetch_pending: "OrderedDict[str, bool]" = OrderedDict()
-        # lock-free: event-loop thread only
-        self._prefetch = {"submitted": 0, "hits": 0, "wasted": 0}
         # Workload requests shed whole because their ``deadline_ms`` had
         # already expired on arrival (per-shard sheds are counted by the
         # gate).  lock-free: event-loop thread only.
@@ -339,61 +331,12 @@ class WorkloadServer:
 
         return apply
 
-    @staticmethod
-    def _prefetch_keys(frame: dict) -> list[str]:
-        """Stable per-item keys of a workload frame, straight from the
-        encoded form (no decode needed): the query record, the
-        instance's content digest (full/ref ``digest`` or delta ``to``),
-        and the item's own parameters."""
-        queries = frame.get("queries") or []
-        instances = frame.get("instances") or []
-        keys: list[str] = []
-        for item in frame.get("items") or []:
-            if not isinstance(item, dict):
-                continue
-            qi = item.get("query")
-            query = queries[qi] \
-                if isinstance(qi, int) and 0 <= qi < len(queries) else None
-            ii = item.get("instance")
-            digest = None
-            if isinstance(ii, int) and 0 <= ii < len(instances) \
-                    and isinstance(instances[ii], dict):
-                digest = instances[ii].get("digest") \
-                    or instances[ii].get("to")
-            keys.append(json.dumps(
-                {"q": query, "d": digest, "k": item.get("kind"),
-                 "s": item.get("sources"), "w": item.get("word")},
-                sort_keys=True, separators=(",", ":")))
-        return keys
-
-    #: Unclaimed prefetch keys kept before the oldest are pruned (and
-    #: counted as wasted).
-    PREFETCH_PENDING_CAP = 4096
-
-    def _note_prefetch(self, frame: dict, *, is_prefetch: bool) -> None:
-        """Update the speculative-prefetch ledger for one workload frame."""
-        keys = self._prefetch_keys(frame)
-        if is_prefetch:
-            self._prefetch["submitted"] += len(keys)
-            for key in keys:
-                self._prefetch_pending[key] = True
-                self._prefetch_pending.move_to_end(key)
-            while len(self._prefetch_pending) > self.PREFETCH_PENDING_CAP:
-                self._prefetch_pending.popitem(last=False)
-                self._prefetch["wasted"] += 1
-        else:
-            for key in keys:
-                if self._prefetch_pending.pop(key, None) is not None:
-                    self._prefetch["hits"] += 1
-
     def _stats_payload(self) -> dict:
         """Live server state — one dict, JSON-encodable end to end."""
         out = {
             "executor": self.evaluator.name,
             "engine": self.evaluator.engine.stats(),
             "instance_cache": self.instance_store.stats(),
-            "prefetch": {**self._prefetch,
-                         "pending": len(self._prefetch_pending)},
             "admission": {
                 "max_inflight_shards":
                     None if self._gate is None else self._gate.limit,
@@ -505,9 +448,6 @@ class WorkloadServer:
             return
         codec = WorkloadCodec()
         codec.set_delta_applier(self._delta_applier_for(codec))
-        if isinstance(frame, dict):
-            self._note_prefetch(frame,
-                                is_prefetch=bool(frame.get("prefetch")))
         stream = None
         held: frozenset[str] = frozenset()
         try:
@@ -772,8 +712,9 @@ class WorkloadClient:
     while already-delivered item positions are filtered from the
     replayed answers, so the caller still sees every position exactly
     once.  ``on_reconnect`` (if given) fires after each successful
-    re-dial, before any replay — the hook a pooled backend uses to
-    invalidate its digest bookkeeping.  Non-transport failures (server
+    re-dial, before any replay — the hook
+    :class:`~repro.learning.backend.RemoteBackend` uses to invalidate
+    its digest bookkeeping.  Non-transport failures (server
     ``error`` frames, protocol desyncs, expired deadlines) are never
     retried.  The counters: :attr:`retries` (recovery attempts after a
     backoff), :attr:`reconnects` (successful re-dials), :attr:`replays`
@@ -997,7 +938,6 @@ class WorkloadClient:
 
     def stream(self, workload: Workload, *,
                known_digests: set[str] | None = None,
-               prefetch: bool = False,
                deadline: "Deadline | None" = None,
                ) -> Iterator[ShardAnswer]:
         """Send one workload; yield decoded shard answers as frames land.
@@ -1009,11 +949,6 @@ class WorkloadClient:
         full (or as applied deltas) are added to the registry after the
         send (optimistically — a wrong entry only ever costs the one
         ``need_instances`` round trip this method answers transparently).
-
-        ``prefetch`` marks the workload as speculative: the server's
-        prefetch ledger counts it as submitted and counts the matching
-        later non-speculative items as hits (the ``prefetch`` block of
-        :meth:`stats` / ``GET /stats``).
 
         The final ``done`` frame's shard count is cross-checked against
         the frames actually seen; an ``error`` frame raises
@@ -1040,28 +975,24 @@ class WorkloadClient:
         """
         self._require_usable()
         if self._retry is None:
-            codec = self._send_workload(workload, known_digests, prefetch,
-                                        deadline)
+            codec = self._send_workload(workload, known_digests, deadline)
             return self._stream_frames(codec, workload,
                                        self._request_epoch, deadline)
         state = self._retry.start()
         codec = self._retrying(
-            lambda: self._send_workload(workload, known_digests, prefetch,
-                                        deadline),
+            lambda: self._send_workload(workload, known_digests, deadline),
             state, deadline)
         return self._resilient_frames(codec, workload, known_digests,
-                                      prefetch, deadline, state)
+                                      deadline, state)
 
     def _send_workload(self, workload: Workload,
-                       known_digests: set[str] | None, prefetch: bool,
+                       known_digests: set[str] | None,
                        deadline: "Deadline | None") -> WorkloadCodec:
         """Encode and eagerly send one workload frame; returns its codec."""
         self._drain_pending_response()
         codec = WorkloadCodec()
         payload = codec.encode_workload(workload,
                                         known_digests=known_digests)
-        if prefetch:
-            payload["prefetch"] = True
         self._apply_io_timeout(deadline)
         if deadline is not None:
             # The remaining budget travels with the request, so server-
@@ -1157,7 +1088,7 @@ class WorkloadClient:
                 self._sock.settimeout(self._timeout)
 
     def _resilient_frames(self, codec: WorkloadCodec, workload: Workload,
-                          known_digests: set[str] | None, prefetch: bool,
+                          known_digests: set[str] | None,
                           deadline: "Deadline | None", state: RetryState,
                           ) -> Iterator[ShardAnswer]:
         """The replaying response reader behind a retry-enabled stream.
@@ -1192,7 +1123,7 @@ class WorkloadClient:
                 self.retries += 1
             codec = self._retrying(
                 lambda: self._send_workload(workload, known_digests,
-                                            prefetch, deadline),
+                                            deadline),
                 state, deadline)
             epoch = self._request_epoch
             self.replays += 1
@@ -1317,18 +1248,12 @@ class WorkloadClient:
 
     def run(self, workload: Workload, *,
             known_digests: set[str] | None = None,
-            prefetch: bool = False,
             deadline: "Deadline | None" = None) -> WorkloadResult:
         """Remote evaluation with the deterministic position-aligned merge."""
-        answers: list = [None] * len(workload)
-        n_shards = 0
-        for shard_answer in self.stream(workload,
-                                        known_digests=known_digests,
-                                        prefetch=prefetch,
-                                        deadline=deadline):
-            n_shards += 1
-            for position, answer in shard_answer:
-                answers[position] = answer
+        # Drain the response first: the done frame names the executor.
+        shard_answers = list(self.stream(workload,
+                                         known_digests=known_digests,
+                                         deadline=deadline))
         executor = getattr(self, "_last_executor", "remote")
-        return WorkloadResult(workload, tuple(answers),
-                              f"remote:{executor}", n_shards)
+        return WorkloadResult.assemble(workload, shard_answers,
+                                       f"remote:{executor}")

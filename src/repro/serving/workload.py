@@ -181,13 +181,27 @@ class WorkloadResult:
     answer — servers ship pre-order positions, not copies), a set of
     ``(source, target)`` pairs for RPQ items, a bool for acceptance items.
     ``executor`` names where the shards ran: ``"serial"`` in-process,
-    ``"remote:<server's>"`` over the wire.
+    ``"remote:<server's>"`` over the wire, the backend's name through
+    an evaluation backend.
     """
 
     workload: Workload
     answers: tuple
     executor: str
     n_shards: int
+
+    @classmethod
+    def assemble(cls, workload: Workload,
+                 shard_answers: Iterable[ShardAnswer],
+                 executor: str) -> "WorkloadResult":
+        """Merge shard answers, in any arrival order, back by position."""
+        answers: list = [None] * len(workload)
+        n_shards = 0
+        for shard_answer in shard_answers:
+            n_shards += 1
+            for position, answer in shard_answer:
+                answers[position] = answer
+        return cls(workload, tuple(answers), executor, n_shards)
 
     def __len__(self) -> int:
         return len(self.answers)

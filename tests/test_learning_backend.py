@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine
+from repro.graphdb.geo import make_geo_graph
 from repro.graphdb.pathquery import PathQuery
 from repro.graphdb.regex import parse_regex
 from repro.graphdb.rpq import evaluate_rpq_naive
@@ -24,6 +25,7 @@ from repro.learning.backend import (
     as_backend,
 )
 from repro.learning.crowd import CrowdBudget, crowd_learn_twig
+from repro.learning.graph_session import InteractivePathSession
 from repro.learning.interactive import InteractiveJoinSession
 from repro.learning.join_learner import PairExample, learn_join
 from repro.learning.pac import pac_learn_twig
@@ -37,6 +39,7 @@ from repro.relational.generator import make_join_instance
 from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
+    ChaosProxy,
     ItemKind,
     ServerThread,
     WorkloadItem,
@@ -102,11 +105,6 @@ def test_membership_shapes_identical_on_every_backend(roots, data):
             assert identical_answers(
                 backend.evaluate_twig_batch(query, docs), base_answers)
             assert backend.selects_batch(query, candidates) == base_flags
-            streamed = [None] * len(candidates)
-            for group in backend.selects_stream(query, candidates):
-                for position, flag in group:
-                    streamed[position] = flag
-            assert streamed == base_flags
             assert backend.selects(query, tree, node)
             backend.close()
 
@@ -191,20 +189,12 @@ def test_none_hypothesis_selects_nothing_everywhere(all_backends):
         assert backend.selects_batch(None, candidates) == [False] * 3
         assert not backend.selects_any(None, candidates)
         assert not backend.selects(None, doc, doc.root)
-        groups = list(backend.selects_stream(None, candidates))
-        assert sorted(p for g in groups for p, _ in g) == [0, 1, 2]
-        assert not any(flag for g in groups for _, flag in g)
 
 
-def test_map_and_map_stream_are_order_preserving(all_backends):
+def test_map_is_order_preserving(all_backends):
     items = list(range(23))
     for backend in all_backends:
         assert backend.map(lambda x: x * x, items) == [x * x for x in items]
-        merged = [None] * len(items)
-        for group in backend.map_stream(lambda x: -x, items):
-            for position, value in group:
-                merged[position] = value
-        assert merged == [-x for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +515,6 @@ def test_remote_backend_owns_or_shares_its_client(server):
         client = owned.client
     with pytest.raises(RuntimeError, match="closed"):
         client.stats()
-    from repro.serving import WorkloadClient
-
-    with WorkloadClient(*server.address) as shared_client:
-        backend = RemoteBackend(client=shared_client)
-        backend.close()  # does NOT close the caller's client
-        assert shared_client.stats()["executor"] == "serial"
-    with pytest.raises(ValueError, match="not both"):
-        RemoteBackend("h", 1, client=shared_client)
 
 
 def test_workload_reexport_builds_mixed_batches(all_backends):
@@ -545,21 +527,147 @@ def test_workload_reexport_builds_mixed_batches(all_backends):
         assert identical_answers(result.answers, baseline.answers)
 
 
-def test_remote_backend_rejects_closed_client(server):
-    from repro.serving import WorkloadClient
-
-    client = WorkloadClient(*server.address)
-    client.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        RemoteBackend(client=client)
-
-
 def test_closed_remote_backend_refuses_instead_of_redialling(server):
     backend = RemoteBackend(*server.address)
     backend.evaluate_twig_batch(parse_twig("//b"), [xml("<a><b/></a>")])
     backend.close()
-    connections = len(backend._clients)
     with pytest.raises(RuntimeError, match="closed"):
         backend.evaluate_twig_batch(parse_twig("//b"), [xml("<a><b/></a>")])
     backend.close()  # idempotent
-    assert len(backend._clients) == connections  # no resurrected sockets
+    assert backend.client.closed  # no resurrected socket
+
+
+# ---------------------------------------------------------------------------
+# One request at a time: every response is read before the next request
+# ---------------------------------------------------------------------------
+
+
+def _session(kind: str, backend: EvaluationBackend):
+    if kind == "twig":
+        return InteractiveTwigSession(
+            _session_docs(), parse_twig("//person[phone]/name"),
+            backend=backend)
+    if kind == "path":
+        return InteractivePathSession(
+            make_geo_graph(rng=1, width=5, height=4), "city_0_0",
+            "city_3_0", PathQuery.parse("highway+"), max_length=6,
+            max_candidates=40, backend=backend)
+    inst = make_join_instance(rng=3, goal_pairs=2, left_rows=6,
+                              right_rows=6, domain=5)
+    return InteractiveJoinSession(inst.left, inst.right, inst.goal,
+                                  max_pool=40, rng=5, backend=backend)
+
+
+def _watch_requests(backend: EvaluationBackend) -> dict[str, int]:
+    """Wrap the backend's request methods.  The returned log counts the
+    requests a caller starts, and those it starts while an earlier
+    request's response is still being read."""
+    log = {"requests": 0, "nested": 0}
+    reading = [0]
+
+    def begin() -> None:
+        log["requests"] += 1
+        log["nested"] += bool(reading[0])
+
+    def watched(method):
+        def call(*args):
+            begin()
+            return method(*args)
+        return call
+
+    stream = backend.stream
+
+    def watched_stream(workload):
+        begin()
+
+        def read():
+            reading[0] += 1
+            try:
+                yield from stream(workload)
+            finally:
+                reading[0] -= 1
+        return read()
+
+    backend.run = watched(backend.run)
+    backend.map = watched(backend.map)
+    backend.prefetch = watched(backend.prefetch)
+    backend.stream = watched_stream
+    return log
+
+
+@pytest.mark.parametrize("kind", ["twig", "path", "join"])
+def test_sessions_read_each_response_before_the_next_request(server, kind):
+    for backend in (LocalBackend(engine=Engine()),
+                    RemoteBackend(*server.address)):
+        with backend:
+            log = _watch_requests(backend)
+            _session(kind, backend).run()
+        assert log["requests"] > 0, backend
+        assert log["nested"] == 0, backend
+
+
+@pytest.mark.parametrize("kind", ["twig", "path"])
+def test_remote_session_opens_one_connection(server, kind):
+    with ChaosProxy(server.address) as proxy:
+        with RemoteBackend(*proxy.address) as backend:
+            result = _session(kind, backend).run()
+        assert result.stats.implied_negative > 0  # the session probed
+        assert proxy.stats()["connections"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The prefetch ledger: parked answers serve the next matching round
+# ---------------------------------------------------------------------------
+
+
+def _requests(backend: EvaluationBackend) -> int:
+    """Requests the backend has sent (the counter behind round_trips)."""
+    return backend.client.requests if isinstance(backend, RemoteBackend) \
+        else 0
+
+
+def test_prefetched_round_serves_the_same_nodes_without_a_request(
+        all_backends):
+    docs = _session_docs()
+    workload = Workload.twig(parse_twig("//person/name"), docs)
+    expected = LocalBackend(engine=Engine()).run(workload).answers
+    for backend in all_backends:
+        assert backend.prefetch(workload) == len(workload)
+        sent = _requests(backend)
+        result = backend.run(workload)
+        assert _requests(backend) == sent, backend
+        assert identical_answers(result.answers, expected)
+        assert backend.stats()["prefetch"] == {
+            "submitted": len(workload), "hits": len(workload), "wasted": 0}
+
+
+def test_tracked_edit_between_prefetch_and_run_misses(all_backends):
+    for backend in all_backends:
+        docs = _session_docs()
+        workload = Workload.twig(parse_twig("//person/name"), docs)
+        backend.prefetch(workload)
+        first_name = next(n for n in docs[0].nodes() if n.label == "name")
+        docs[0].relabel_node(first_name, label="nick")
+        sent = _requests(backend)
+        result = backend.run(workload)
+        if isinstance(backend, RemoteBackend):
+            assert _requests(backend) == sent + 1  # re-evaluated remotely
+        expected = LocalBackend(engine=Engine()).run(workload).answers
+        assert identical_answers(result.answers, expected)
+        assert all(n is not first_name for n in result.answers[0])
+        assert backend.stats()["prefetch"]["hits"] == 0
+
+
+def test_parking_past_the_cap_counts_the_overflow_as_wasted(all_backends):
+    query = PathQuery.parse("road+")
+    words = [("road",), ("rail",), ("road", "road")]
+    for backend in all_backends:
+        backend.PREFETCH_CAP = 2
+        backend.prefetch(Workload.accepts(query, words))
+        assert backend.stats()["prefetch"] == {
+            "submitted": 3, "hits": 0, "wasted": 1}
+        # The two newest answers stay parked and serve a round...
+        assert backend.accepts_batch(query, words[1:]) == [False, True]
+        # ...the aged-out one no longer does.
+        assert backend.accepts_batch(query, words[:1]) == [True]
+        assert backend.stats()["prefetch"]["hits"] == 2

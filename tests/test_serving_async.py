@@ -23,6 +23,7 @@ from repro.serving import (
     ShardAnswer,
     ShardGate,
     Workload,
+    WorkloadResult,
 )
 from repro.twig.parse import parse_twig
 from repro.xmltree.tree import XTree
@@ -159,7 +160,7 @@ def test_async_stream_yields_before_batch_completes():
 
 
 # ---------------------------------------------------------------------------
-# Synchronous streaming APIs (what the sessions consume)
+# Synchronous streaming APIs (what every backend round runs through)
 # ---------------------------------------------------------------------------
 
 
@@ -179,81 +180,26 @@ def test_run_stream_reassembles_run_exactly():
     assert merged[2:] == list(serial.answers[2:])
 
 
-def test_selects_stream_matches_selects_batch():
-    docs = [xml("<a><b><c/></b><b/></a>"), xml("<a><b><c/><c/></b></a>"),
-            xml("<a/>")]
-    query = parse_twig("//b[c]")
-    engine = Engine()
-    candidates = [(d, n) for d in docs for n in d.nodes()]
-    backend = LocalBackend(engine=engine)
-    expected = backend.selects_batch(query, candidates)
-    flags: list = [None] * len(candidates)
-    groups = list(backend.selects_stream(query, candidates))
-    assert len(groups) == len(docs)  # one group per distinct document
-    for group in groups:
-        for position, sel in group:
-            assert flags[position] is None  # exactly-once coverage
-            flags[position] = sel
-    assert flags == expected
-    # None hypothesis: one all-False group, like selects_batch.
-    none_groups = list(backend.selects_stream(None, candidates))
-    assert [f for g in none_groups for _, f in g] == \
-        [False] * len(candidates)
-    assert list(backend.selects_stream(query, [])) == []
-
-
-def test_selects_stream_first_group_before_batch_completes():
-    """The acceptance bar: the streaming session API yields its first
-    shard while the batch is still incomplete."""
+def test_local_stream_first_shard_before_batch_completes():
+    """The acceptance bar: a backend's stream yields its first shard
+    while the batch is still incomplete."""
     docs = [xml(f"<a>{'<b/>' * (i + 1)}</a>") for i in range(4)]
-    candidates = [(d, n) for d in docs for n in d.nodes()]
+    workload = Workload.twig(parse_twig("//b"), docs)
     backend, recorder = _recording_backend()
-    stream = backend.selects_stream(parse_twig("//b"), candidates)
-    first_group = next(stream)
-    assert first_group  # real answers arrived...
+    stream = backend.stream(workload)
+    first_shard = next(stream)
+    assert first_shard.answers[0]  # real answers arrived...
     assert recorder.evaluated < len(docs)  # ...before the batch finished
     rest = list(stream)
     assert recorder.evaluated == len(docs)
-    flags = [None] * len(candidates)
-    for position, sel in (pair for g in [first_group, *rest] for pair in g):
-        flags[position] = sel
-    assert flags == backend.selects_batch(parse_twig("//b"), candidates)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.lists(st.sampled_from("ab"), max_size=4), min_size=1,
-                max_size=140))
-def test_accepts_stream_matches_accepts_batch(words):
-    query = PathQuery.parse("a+.b?")
-    engine = Engine()
-    tuples = [tuple(w) for w in words]
-    backend = LocalBackend(engine=engine)
-    expected = backend.accepts_batch(query, tuples)
-    flags: list = [None] * len(tuples)
-    for group in backend.accepts_stream(query, tuples):
-        for position, acc in group:
-            assert flags[position] is None
-            flags[position] = acc
-    assert flags == expected
-
-
-def test_map_stream_matches_map():
-    items = list(range(37))
-    backend = LocalBackend(engine=Engine())
-    out: list = [None] * len(items)
-    groups = list(backend.map_stream(lambda x: x * x, items))
-    assert len(groups) > 1  # finer than one monolithic chunk
-    for group in groups:
-        for position, value in group:
-            assert out[position] is None
-            out[position] = value
-    assert out == [x * x for x in items]
-    assert list(backend.map_stream(lambda x: x, [])) == []
+    merged = WorkloadResult.assemble(workload, [first_shard, *rest], "local")
+    assert identical_answers(merged.answers, backend.run(workload).answers)
 
 
 def test_streaming_session_identical_to_batch_baseline():
-    """A session on the streamed classification path asks the exact same
-    questions and learns the exact same query as the serial baseline."""
+    """A session whose rounds run through the backend's stream asks the
+    exact same questions and learns the exact same query as the serial
+    baseline."""
     docs = [xml("<site><people><person><name>a</name></person>"
                 "<person><name>b</name><phone>1</phone></person>"
                 "</people></site>"),

@@ -428,34 +428,33 @@ def test_deadline_bounds_the_whole_retry_budget():
 
 
 # ---------------------------------------------------------------------------
-# RemoteBackend: pool hygiene, circuit breaking, healed sessions
+# RemoteBackend: re-dialing, circuit breaking, healed sessions
 # ---------------------------------------------------------------------------
 
 
-def test_pool_evicts_broken_clients_and_keeps_their_counters():
-    """Regression: a broken connection must leave the pool at check-in —
-    not linger in the client list — while its traffic counters survive
-    in stats()."""
+def test_broken_connection_is_redialled_and_keeps_its_counters():
+    """A connection a failed request left broken is re-dialed in place by
+    the next request: the backend keeps its one client, whose traffic
+    counters survive in stats(), and the re-dial distrusts the digest
+    registry, so the corpus ships again."""
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
         backend = RemoteBackend(*server.address, retry=None)
         try:
             workload = _workload(2)
             backend.evaluate_batch(workload)
-            client = backend._checkout()
+            client = backend.client
             requests_before = client.requests
             assert requests_before > 0
             client._broken = True  # simulate a mid-response transport death
-            backend._checkin(client)
-            assert client not in backend._clients
-            assert client not in backend._idle
-            assert client.closed
-            stats = backend.stats()
-            assert stats["evicted_connections"] == 1
-            # The evicted connection's traffic still counts.
-            assert stats["round_trips"] >= requests_before
-            # The pool replaces it on demand and keeps serving.
             result = backend.evaluate_batch(workload)
             assert _answers_match(result.answers, workload)
+            assert backend.client is client
+            stats = backend.stats()
+            assert stats["reconnects"] == 1
+            # The re-dialed connection's earlier traffic still counts.
+            assert stats["round_trips"] == requests_before + 1
+            assert stats["instances_shipped"] == 2 * len(workload)
+            assert stats["breaker_state"] == "closed"
         finally:
             backend.close()
 
@@ -576,7 +575,7 @@ def test_stats_surface_reports_resilience_counters():
             backend.evaluate_batch(_workload(2))
             stats = backend.stats()
             for key in ("retries", "reconnects", "replays",
-                        "evicted_connections", "breaker_state", "breaker"):
+                        "breaker_state", "breaker"):
                 assert key in stats
             assert stats["breaker_state"] == "closed"
             assert stats["retries"] == 0
