@@ -19,8 +19,7 @@ them (the paper's Figure 1):
 Evaluation is served by :mod:`repro.engine` (per-instance indexes and
 memoisation behind the plain ``evaluate``/``evaluate_rpq`` signatures) and
 batched/sharded by :mod:`repro.serving` (one hypothesis over many
-instances per call, in-process, on a TCP server, or across a fleet of
-server processes).
+instances per call, in-process or on a TCP server).
 
 Quickstart::
 

@@ -3,8 +3,8 @@
 The serving tier and the remote backend create real OS resources —
 sockets (``socket.create_connection``), worker pools
 (``ThreadPoolExecutor`` / ``ProcessPoolExecutor``), connections
-(``WorkloadClient``), fleet member subprocesses
-(``multiprocessing`` ``Process``), files (``open``).  Leaking one does not fail a
+(``WorkloadClient``), subprocesses (``multiprocessing`` ``Process``),
+files (``open``).  Leaking one does not fail a
 test; it exhausts descriptors or leaves worker processes behind after
 hours of serving.  The discipline in ``repro.serving`` and
 ``repro.learning.backend`` is that every such creation has a visible
@@ -45,8 +45,8 @@ SCOPED = ("repro.serving", "repro.learning.backend")
 CLOSEABLE_DOTTED = {"socket.create_connection", "socket.socket"}
 
 #: Constructor names (bare or attribute tail) that allocate a closeable.
-#: ``Process`` covers the fleet's member subprocesses
-#: (``multiprocessing`` contexts spell the constructor ``ctx.Process``).
+#: ``Process`` covers subprocesses (``multiprocessing`` contexts spell
+#: the constructor ``ctx.Process``).
 CLOSEABLE_NAMES = {"ThreadPoolExecutor", "ProcessPoolExecutor",
                    "WorkloadClient", "Process", "open"}
 

@@ -80,39 +80,45 @@ class NFA:
 def compile_regex(regex: Regex) -> NFA:
     """Thompson construction: one fragment per AST node, linear size."""
     nfa = NFA()
-
-    def build(r: Regex) -> tuple[int, int]:
-        if isinstance(r, Epsilon):
-            s, t = nfa.new_state(), nfa.new_state()
-            nfa.add_transition(s, EPS, t)
-            return s, t
-        if isinstance(r, Label):
-            s, t = nfa.new_state(), nfa.new_state()
-            nfa.add_transition(s, r.name, t)
-            return s, t
-        if isinstance(r, Concat):
-            ls, lt = build(r.left)
-            rs, rt = build(r.right)
-            nfa.add_transition(lt, EPS, rs)
-            return ls, rt
-        if isinstance(r, Union):
-            s, t = nfa.new_state(), nfa.new_state()
-            ls, lt = build(r.left)
-            rs, rt = build(r.right)
-            nfa.add_transition(s, EPS, ls)
-            nfa.add_transition(s, EPS, rs)
-            nfa.add_transition(lt, EPS, t)
-            nfa.add_transition(rt, EPS, t)
-            return s, t
-        if isinstance(r, Star):
-            s, t = nfa.new_state(), nfa.new_state()
-            inner_s, inner_t = build(r.inner)
-            nfa.add_transition(s, EPS, inner_s)
-            nfa.add_transition(s, EPS, t)
-            nfa.add_transition(inner_t, EPS, inner_s)
-            nfa.add_transition(inner_t, EPS, t)
-            return s, t
-        raise TypeError(f"unknown regex node {type(r).__name__}")
-
-    nfa.start, nfa.accept = build(regex)
+    nfa.start, nfa.accept = _build(nfa, regex)
     return nfa
+
+
+def _build(nfa: NFA, r: Regex) -> tuple[int, int]:
+    """Add the fragment of ``r`` to ``nfa``; its ``(start, accept)``.
+
+    A module-level function rather than a closure: a recursive inner
+    function's cell refers to itself, so every NFA it built would wait
+    for the cyclic collector instead of dying with its last reference.
+    """
+    if isinstance(r, Epsilon):
+        s, t = nfa.new_state(), nfa.new_state()
+        nfa.add_transition(s, EPS, t)
+        return s, t
+    if isinstance(r, Label):
+        s, t = nfa.new_state(), nfa.new_state()
+        nfa.add_transition(s, r.name, t)
+        return s, t
+    if isinstance(r, Concat):
+        ls, lt = _build(nfa, r.left)
+        rs, rt = _build(nfa, r.right)
+        nfa.add_transition(lt, EPS, rs)
+        return ls, rt
+    if isinstance(r, Union):
+        s, t = nfa.new_state(), nfa.new_state()
+        ls, lt = _build(nfa, r.left)
+        rs, rt = _build(nfa, r.right)
+        nfa.add_transition(s, EPS, ls)
+        nfa.add_transition(s, EPS, rs)
+        nfa.add_transition(lt, EPS, t)
+        nfa.add_transition(rt, EPS, t)
+        return s, t
+    if isinstance(r, Star):
+        s, t = nfa.new_state(), nfa.new_state()
+        inner_s, inner_t = _build(nfa, r.inner)
+        nfa.add_transition(s, EPS, inner_s)
+        nfa.add_transition(s, EPS, t)
+        nfa.add_transition(inner_t, EPS, inner_s)
+        nfa.add_transition(inner_t, EPS, t)
+        return s, t
+    raise TypeError(f"unknown regex node {type(r).__name__}")

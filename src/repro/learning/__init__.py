@@ -23,7 +23,7 @@ One learner per data model, all sharing the example/oracle vocabulary of
 * :mod:`repro.learning.backend` — the evaluation seam all of the above
   run through: :class:`~repro.learning.backend.LocalBackend` (in-process
   sharded batches, the default) and
-  :class:`~repro.learning.backend.RemoteBackend` (a TCP server or fleet),
+  :class:`~repro.learning.backend.RemoteBackend` (a TCP server),
   answer-identical by contract.
 """
 

@@ -17,9 +17,8 @@ implementations:
 
 :class:`RemoteBackend`
     Wraps a :class:`~repro.serving.net.WorkloadClient`, so any learner
-    or interactive session runs **unmodified** against a TCP serving
-    tier — one :class:`~repro.serving.net.WorkloadServer` or a
-    :class:`~repro.serving.fleet.Fleet` behind its router.  Remote
+    or interactive session runs **unmodified** against a
+    :class:`~repro.serving.net.WorkloadServer` over TCP.  Remote
     answers decode by pre-order position onto the caller's own node
     objects, so they are object-identical to a local run — the
     backend-invariance contract the tests pin: the learned query, the
@@ -231,8 +230,7 @@ class EvaluationBackend:
     # ------------------------------------------------------------------
     def run(self, workload: Workload) -> WorkloadResult:
         """Evaluate every item; answers aligned with item order."""
-        return WorkloadResult.assemble(workload, self.stream(workload),
-                                       self.name)
+        return WorkloadResult.assemble(workload, self.stream(workload))
 
     def evaluate_batch(self, workload: Workload) -> WorkloadResult:
         """Protocol name for :meth:`run` — one candidate generation in,
@@ -268,8 +266,7 @@ class EvaluationBackend:
         if not len(workload):
             return 0
         self._prefetch_counts["submitted"] += len(workload)
-        result = WorkloadResult.assemble(workload, self._stream(workload),
-                                         self.name)
+        result = WorkloadResult.assemble(workload, self._stream(workload))
         for item, answer in zip(workload, result.answers):
             key = _prefetch_key(item)
             if key is None:
@@ -488,15 +485,9 @@ class RemoteBackend(EvaluationBackend):
     not pay a round trip each; :meth:`accepts_any` sends one batch and
     memoises every verdict.
 
-    Construct with ``RemoteBackend(host, port)``; ``close()`` closes the
-    connection.  The peer can be a single
-    :class:`~repro.serving.net.WorkloadServer` **or** a
-    :class:`~repro.serving.fleet.FleetRouter` — the router speaks the
-    identical protocol, so pointing a backend at a fleet changes where
-    shards evaluate and nothing else: same learned query, same question
-    sequence, same node objects.  Fleet failover and member drains are
-    invisible here too; at worst a round pays one extra
-    ``need_instances`` re-ship for a digest that moved.
+    Construct with ``RemoteBackend(host, port)`` of a
+    :class:`~repro.serving.net.WorkloadServer`; ``close()`` closes the
+    connection.
 
     The backend is **self-healing by default**: its connection carries a
     :class:`~repro.serving.resilience.RetryPolicy` (bounded backoff,

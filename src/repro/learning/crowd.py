@@ -16,8 +16,8 @@ session driven end-to-end through a pluggable
 :class:`~repro.learning.backend.EvaluationBackend` — the deployment shape
 crowdsourced query learning assumes, where the workers answer HITs but the
 candidate re-evaluation runs on a serving tier (local, or a remote TCP
-server or fleet; the learned query, the question sequence, and the HIT
-bill are identical on all of them).
+server; the learned query, the question sequence, and the HIT bill are
+identical on both).
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ against the current hypothesis — runs through the session's
 per round (the hypothesis is evaluated once per distinct document, not
 once per candidate); then each unselected candidate gets its
 implied-negative probe, in pool order.  Every request completes before
-the next starts, so the session accepts any backend — local, a remote
-server, or a fleet behind its router — over one connection and without
-changing a single question (``SessionStats.asked`` records the sequence
+the next starts, so the session accepts any backend — local or a
+remote server — over one connection and without changing a single
+question (``SessionStats.asked`` records the sequence
 so the invariance suites can assert exactly that).
 """
 

@@ -7,10 +7,9 @@ per-instance indexes are independent, a workload — one hypothesis over many
 documents or graphs, one instance under many queries, or any mix — slices
 into per-instance **shards** that evaluate independently and merge back in
 item order.  The interactive sessions route their per-interaction
-re-evaluation loops through this service; in-process, on a
-:class:`~repro.serving.net.WorkloadServer` or across a
-:class:`~repro.serving.fleet.Fleet`, the same shard evaluator computes
-every answer.
+re-evaluation loops through this service; in-process or on a
+:class:`~repro.serving.net.WorkloadServer`, the same shard evaluator
+computes every answer.
 
 Architecture
 ------------
@@ -58,8 +57,8 @@ Architecture
 Contracts
 ---------
 * **Parity**: ``run(workload).answers[i]`` equals the serial engine call
-  for item ``i`` — same node objects, same document order — in-process,
-  over a server and over a fleet.
+  for item ``i`` — same node objects, same document order — in-process
+  and over a server.
 * **Shard snapshot consistency**: each shard resolves its instance index
   once, so a concurrent mutation lands fully before or fully after any
   given shard, never inside it.
@@ -88,10 +87,8 @@ from repro.serving.faults import (
     periodic_plan,
     seeded_plan,
 )
-from repro.serving.fleet import Fleet, FleetRouter, RouterThread
 from repro.serving.instance_cache import InstanceStore
 from repro.serving.net import (
-    EndpointThread,
     ServerThread,
     ShardGate,
     WorkloadClient,
@@ -104,7 +101,6 @@ from repro.serving.resilience import (
     RetryPolicy,
     ServiceUnavailable,
 )
-from repro.serving.ring import HashRing
 from repro.serving.wire import (
     NeedInstances,
     ProtocolError,
@@ -129,13 +125,8 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
-    "EndpointThread",
-    "Fleet",
-    "FleetRouter",
-    "HashRing",
     "InstanceStore",
     "KillAfter",
-    "RouterThread",
     "ItemKind",
     "NeedInstances",
     "ProtocolError",

@@ -49,11 +49,6 @@ class AsyncBatchEvaluator:
     def engine(self) -> Engine:
         return self._sync.engine
 
-    @property
-    def name(self) -> str:
-        """How shards run (the evaluator's ``name``)."""
-        return self._sync.name
-
     # ------------------------------------------------------------------
     # The streaming primitive
     # ------------------------------------------------------------------
@@ -99,7 +94,7 @@ class AsyncBatchEvaluator:
         """Deterministic ordered merge of the stream (parity with sync)."""
         shard_answers = [shard_answer
                          async for shard_answer in self.stream(workload)]
-        return WorkloadResult.assemble(workload, shard_answers, self.name)
+        return WorkloadResult.assemble(workload, shard_answers)
 
     async def first_answer(self, workload: Workload) -> ShardAnswer:
         """The first shard's answers (the streamed-latency probe); later
@@ -111,6 +106,3 @@ class AsyncBatchEvaluator:
         finally:
             await stream.aclose()
         raise ValueError("workload has no shards")
-
-    def __repr__(self) -> str:
-        return f"<AsyncBatchEvaluator {self.name}>"

@@ -51,17 +51,12 @@ from repro.serving.workload import (
 class BatchEvaluator:
     """Evaluate workloads over the engine seam, shard by shard."""
 
-    #: How shards run, as reported in ``WorkloadResult.executor`` and in
-    #: a server's ``done`` and ``stats`` frames: inline, one at a time.
-    name = "serial"
-
     def __init__(self, *, engine: Engine | None = None) -> None:
         self.engine = engine if engine is not None else get_engine()
 
     def run(self, workload: Workload) -> WorkloadResult:
         """Evaluate every item; answers aligned with item order."""
-        return WorkloadResult.assemble(workload, self.run_stream(workload),
-                                       self.name)
+        return WorkloadResult.assemble(workload, self.run_stream(workload))
 
     def run_stream(self, workload: Workload, *,
                    positions_native: bool = False,
@@ -119,6 +114,3 @@ class BatchEvaluator:
                          for item in shard.items)
         return tuple(engine.accepts(item.query, item.word)
                      for item in shard.items)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"

@@ -145,9 +145,8 @@ class WorkloadServer:
     that port — the same JSON as the wire ``stats`` frame, scrapeable
     with stdlib tooling alone.
 
-    ``ping`` answers ``ok`` — the health probe the fleet router uses.
-    The other fleet-control frames (``drain``/``undrain`` of a member,
-    ``ring``) are a router's and get an ``error`` frame here.
+    ``ping`` answers ``ok`` — the health probe a client's circuit
+    breaker sends before it lets requests through again.
     """
 
     def __init__(self, evaluator: AsyncBatchEvaluator | None = None, *,
@@ -192,12 +191,13 @@ class WorkloadServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._accept(self._handle_connection), self.host, self.port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         if self.stats_port is not None:
             try:
                 self._stats_server = await asyncio.start_server(
-                    self._handle_stats_http, self.host, self.stats_port)
+                    self._accept(self._handle_stats_http), self.host,
+                    self.stats_port)
             except BaseException:
                 # A failed stats bind must not leak the already-bound
                 # workload listener (or leave start() unretryable).
@@ -226,42 +226,76 @@ class WorkloadServer:
     async def aclose(self, *, drain_timeout: float | None = None) -> None:
         """Stop listening and tear down in-flight connection handlers.
 
-        The listener closes first, then every live connection-handler
-        task is *cancelled* and awaited for at most ``drain_timeout``
-        seconds (:attr:`CLOSE_DRAIN_TIMEOUT` by default) — one stuck
-        client blocked mid-read can therefore never hang the close (on
-        3.12+ ``Server.wait_closed`` waits on handlers, which used to
-        wedge forever behind exactly such a client).
+        The listeners (workload and stats) stop accepting first, then
+        every live connection-handler task is *cancelled* and awaited for
+        at most ``drain_timeout`` seconds (:attr:`CLOSE_DRAIN_TIMEOUT` by
+        default) — one stuck client blocked mid-read can therefore never
+        hang the close (on 3.12+ ``Server.wait_closed`` waits on
+        handlers, which used to wedge forever behind exactly such a
+        client).  Every connection a listener accepted is closed, even
+        one accepted in the same loop tick as the close.
         """
         if drain_timeout is None:
             drain_timeout = self.CLOSE_DRAIN_TIMEOUT
-        if self._stats_server is not None:
-            self._stats_server.close()
-            await self._stats_server.wait_closed()
-            self._stats_server = None
-        if self._server is not None:
-            self._server.close()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.wait(set(self._conn_tasks),
-                                   timeout=drain_timeout)
+        listeners = [listener for listener in (self._server,
+                                               self._stats_server)
+                     if listener is not None]
+        self._server = self._stats_server = None
+        if not listeners:
+            return
+        # Stop accepting, then let connections already accepted attach
+        # before the listeners close: CPython's ``Server._attach``
+        # asserts the server is open, and a connection that trips it
+        # keeps its socket open.
+        loop = asyncio.get_running_loop()
+        for listener in listeners:
+            for sock in listener.sockets:
+                loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        for listener in listeners:
+            listener.close()
+        # One more tick: their ``connection_made`` starts (and records)
+        # the handler tasks cancelled below.
+        await asyncio.sleep(0)
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.wait(set(self._conn_tasks), timeout=drain_timeout)
+        for listener in listeners:
             try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       drain_timeout)
+                await asyncio.wait_for(listener.wait_closed(), drain_timeout)
             except asyncio.TimeoutError:
                 # A handler survived cancellation within the budget; the
-                # listener socket is closed regardless, and the loop is
+                # listening socket is closed regardless, and the loop is
                 # about to be torn down with whatever is left.
                 pass
-            self._server = None
 
     # ------------------------------------------------------------------
+    def _accept(self, handler):
+        """The listener callback that runs ``handler`` per connection.
+
+        A plain callback, not a coroutine, so each handler task is
+        recorded before its first step: :meth:`aclose` cancels even a
+        handler that never ran, and the done-callback closes the writer
+        however the handler ended.
+        """
+
+        def accept(reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+            task = asyncio.get_running_loop().create_task(
+                handler(reader, writer))
+            self._conn_tasks.add(task)
+
+            def finished(task: asyncio.Task) -> None:
+                self._conn_tasks.discard(task)
+                writer.close()
+
+            task.add_done_callback(finished)
+
+        return accept
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             while True:
                 try:
@@ -277,15 +311,7 @@ class WorkloadServer:
                 await self._serve_request(frame, reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
-        except asyncio.CancelledError:
-            # Only aclose() cancels handler tasks (shutdown path).  Exit
-            # cleanly instead of re-raising: a task left in "cancelled"
-            # state trips the stream protocol's done-callback into
-            # logging an error nobody can act on.
-            pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -334,7 +360,6 @@ class WorkloadServer:
     def _stats_payload(self) -> dict:
         """Live server state — one dict, JSON-encodable end to end."""
         out = {
-            "executor": self.evaluator.name,
             "engine": self.evaluator.engine.stats(),
             "instance_cache": self.instance_store.stats(),
             "admission": {
@@ -395,17 +420,6 @@ class WorkloadServer:
         if kind == "ping":
             # Health probe: alive and reading frames — that is the answer.
             write_frame(writer, {"type": "ok"})
-            await writer.drain()
-            return
-        if kind in ("drain", "undrain", "ring"):
-            # Fleet control is a router concept; a single server has no
-            # ring to take members out of or to report.
-            what = "no ring to report" if kind == "ring" else \
-                f"no member {frame.get('member')!r} to {kind}"
-            write_frame(writer, {
-                "type": "error",
-                "message": "this endpoint is a single WorkloadServer, "
-                           f"not a fleet router — {what}"})
             await writer.drain()
             return
         if kind == "put_instances":
@@ -471,8 +485,7 @@ class WorkloadServer:
                     workload, shard_answer))
                 await writer.drain()
                 n_shards += 1
-            write_frame(writer, {"type": "done", "n_shards": n_shards,
-                                 "executor": self.evaluator.name})
+            write_frame(writer, {"type": "done", "n_shards": n_shards})
         except DeadlineExceeded as exc:
             # Coded so the client surfaces DeadlineExceeded (and never
             # retries it — the time a retry needs is what ran out).
@@ -563,34 +576,36 @@ async def serve(*, host: str = "127.0.0.1", port: int = 0,
     await server.serve_forever()
 
 
-class EndpointThread:
-    """Any async endpoint (``start()``/``aclose()``) on its own thread.
+class ServerThread:
+    """A :class:`WorkloadServer` on a dedicated thread and event loop.
 
     Lets blocking code (tests, benchmarks, a client process) stand up a
-    real TCP endpoint without owning an event loop.  Construction blocks
+    real TCP server without owning an event loop.  Construction blocks
     until the socket is bound; ``close()`` (or the context manager exit)
     stops the loop and joins the thread with a **bounded** join — a
     close that cannot complete within its timeout raises instead of
     hanging the caller forever behind one stuck connection (the
-    endpoint's own ``aclose`` cancels its handlers, so in practice the
-    join returns promptly).  :class:`ServerThread` runs a
-    :class:`WorkloadServer`; :class:`~repro.serving.fleet.RouterThread`
-    runs a :class:`~repro.serving.fleet.FleetRouter`.
+    server's own ``aclose`` cancels its handlers, so in practice the
+    join returns promptly).  Extra keyword options (``instance_store``,
+    ``max_inflight_shards``, ``stats_port``) pass through to the
+    underlying :class:`WorkloadServer`.
     """
 
     #: Default bound on the close() join (the number lives in
     #: :mod:`repro.serving.timeouts`; override per instance as needed).
     JOIN_TIMEOUT = timeouts.JOIN_TIMEOUT
 
-    def __init__(self, endpoint, *, thread_name: str = "repro-serving-net",
-                 ) -> None:
-        self._endpoint = endpoint
+    def __init__(self, evaluator: AsyncBatchEvaluator | None = None, *,
+                 host: str = "127.0.0.1", port: int = 0,
+                 **server_options) -> None:
+        self.server = WorkloadServer(evaluator, host=host, port=port,
+                                     **server_options)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopped: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=thread_name)
+                                        name="repro-serving-net")
         self._thread.start()
         self._ready.wait()
         if self._startup_error is not None:
@@ -598,35 +613,35 @@ class EndpointThread:
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._endpoint.host, self._endpoint.port
+        return self.server.host, self.server.port
 
-    def run_coroutine(self, coro):
-        """Run a coroutine on the endpoint's loop; returns its result."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("endpoint thread is not running")
-        return asyncio.run_coroutine_threadsafe(coro, loop).result()
+    @property
+    def stats_address(self) -> tuple[str, int] | None:
+        """The HTTP stats endpoint's ``(host, port)``, if one is bound."""
+        if self.server.stats_port is None:
+            return None
+        return self.server.host, self.server.stats_port
 
     def _run(self) -> None:
         async def main() -> None:
             self._loop = asyncio.get_running_loop()
             self._stopped = asyncio.Event()
             try:
-                await self._endpoint.start()
+                await self.server.start()
             except BaseException as exc:  # noqa: BLE001 - rethrown in ctor
                 self._startup_error = exc
                 self._ready.set()
                 return
             self._ready.set()
             await self._stopped.wait()
-            await self._endpoint.aclose()
+            await self.server.aclose()
 
         asyncio.run(main())
 
     def close(self, *, timeout: float | None = None) -> None:
         """Stop the loop and join the thread (bounded).  Idempotent.
 
-        Raises :class:`RuntimeError` if the endpoint thread is still
+        Raises :class:`RuntimeError` if the server thread is still
         alive after ``timeout`` seconds (:attr:`JOIN_TIMEOUT` default) —
         a close that silently hangs is strictly worse than one that
         fails loudly with the thread name in hand.
@@ -642,42 +657,14 @@ class EndpointThread:
         self._thread.join(timeout)
         if self._thread.is_alive():
             raise RuntimeError(
-                f"endpoint thread {self._thread.name!r} did not exit "
+                f"server thread {self._thread.name!r} did not exit "
                 f"within {timeout}s of close()")
 
-    def __enter__(self) -> "EndpointThread":
+    def __enter__(self) -> "ServerThread":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class ServerThread(EndpointThread):
-    """A :class:`WorkloadServer` on a dedicated thread and event loop.
-
-    Construction blocks until the socket is bound; ``close()`` (or the
-    context manager exit) stops the loop and joins the thread.  Extra
-    keyword options (``instance_store``, ``max_inflight_shards``,
-    ``stats_port``) pass through to the underlying
-    :class:`WorkloadServer`.
-    """
-
-    def __init__(self, evaluator: AsyncBatchEvaluator | None = None, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 **server_options) -> None:
-        self.server = WorkloadServer(evaluator, host=host, port=port,
-                                     **server_options)
-        super().__init__(self.server)
-
-    @property
-    def stats_address(self) -> tuple[str, int] | None:
-        """The HTTP stats endpoint's ``(host, port)``, if one is bound."""
-        if self.server.stats_port is None:
-            return None
-        return self.server.host, self.server.stats_port
-
-    def __enter__(self) -> "ServerThread":
-        return self
 
 
 class WorkloadClient:
@@ -768,8 +755,8 @@ class WorkloadClient:
             self._connect()
         else:
             # The first dial is a request like any other: a peer that is
-            # briefly down (a restarting server or fleet member) costs
-            # backoff, not an error.
+            # briefly down (a restarting server) costs backoff, not an
+            # error.
             retry.call(self._connect, on_retry=self._count_retry)
 
     def _connect(self) -> None:
@@ -1072,7 +1059,6 @@ class WorkloadClient:
                         raise self._unrecoverable(
                             f"server announced {frame.get('n_shards')} "
                             f"shards but sent {seen}")
-                    self._last_executor = frame.get("executor", "remote")
                     return
                 elif kind == "error":
                     self._pending_response = False
@@ -1172,10 +1158,9 @@ class WorkloadClient:
     def stats(self) -> dict:
         """The server's live engine statistics (one ``stats`` round trip).
 
-        Returns the server's reply — ``{"executor": ..., "engine":
-        {...}}`` with the engine dict exactly as
-        :meth:`repro.engine.core.Engine.stats` reports it server-side
-        (cache hit rates, index build counts).
+        Returns the server's reply — ``{"engine": {...}, ...}`` with the
+        engine dict exactly as :meth:`repro.engine.core.Engine.stats`
+        reports it server-side (cache hit rates, index build counts).
         """
         return self._request_reply({"type": "stats"}, expect="stats")
 
@@ -1183,9 +1168,9 @@ class WorkloadClient:
                        deadline: "Deadline | None" = None) -> dict:
         """One request frame, one reply frame of kind ``expect``.
 
-        Shared by every non-streaming request (``stats`` and the fleet
-        control frames), retried under the client's policy when one is
-        configured.  A server ``error`` frame raises
+        Shared by the non-streaming requests (``stats`` and ``ping``),
+        retried under the client's policy when one is configured.  A
+        server ``error`` frame raises
         :class:`~repro.serving.wire.RemoteError` but leaves the
         connection aligned; any other unexpected frame breaks it.
         """
@@ -1223,37 +1208,14 @@ class WorkloadClient:
             raise self._server_error(frame)
         raise self._unrecoverable(f"unexpected frame {frame!r}")
 
-    # ------------------------------------------------------------------
-    # Fleet control plane.  A plain WorkloadServer answers ping too, so
-    # health checks work the same against one server or a whole fleet;
-    # drain/undrain/ring are router-only.
     def ping(self) -> dict:
         """Liveness probe (an empty reply)."""
         return self._request_reply({"type": "ping"}, expect="ok")
-
-    def drain(self, member: str) -> dict:
-        """Take fleet member ``member`` out of a router's ring: its
-        in-flight work finishes, new work rehashes elsewhere."""
-        return self._request_reply({"type": "drain", "member": member},
-                                   expect="ok")
-
-    def undrain(self, member: str) -> dict:
-        """Reverse :meth:`drain`: put ``member`` back into the ring."""
-        return self._request_reply({"type": "undrain", "member": member},
-                                   expect="ok")
-
-    def ring(self) -> dict:
-        """A router's ring report: members, health, and digest counts."""
-        return self._request_reply({"type": "ring"}, expect="ring")
 
     def run(self, workload: Workload, *,
             known_digests: set[str] | None = None,
             deadline: "Deadline | None" = None) -> WorkloadResult:
         """Remote evaluation with the deterministic position-aligned merge."""
-        # Drain the response first: the done frame names the executor.
-        shard_answers = list(self.stream(workload,
-                                         known_digests=known_digests,
-                                         deadline=deadline))
-        executor = getattr(self, "_last_executor", "remote")
-        return WorkloadResult.assemble(workload, shard_answers,
-                                       f"remote:{executor}")
+        return WorkloadResult.assemble(
+            workload, self.stream(workload, known_digests=known_digests,
+                                  deadline=deadline))

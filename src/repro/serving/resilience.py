@@ -1,8 +1,8 @@
 """Deadlines, bounded retries, and circuit breaking for the client edge.
 
-The serving fleet (PR 7) made a *member* dying mid-request invisible to
-clients; this module gives the client edge itself the same self-healing
-shape.  Three small, composable pieces:
+This module makes the client edge self-healing: a server that dies or
+stalls mid-request costs a retry, not an error.  Three small,
+composable pieces:
 
 :class:`Deadline`
     A per-request time budget on the monotonic clock.  It flows into

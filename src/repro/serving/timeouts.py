@@ -2,13 +2,11 @@
 
 Every timeout a serving component applies is declared here, once, with
 its composition rule — previously these were scattered class attributes
-(``WorkloadServer.CLOSE_DRAIN_TIMEOUT``, ``FleetRouter.CONNECT_TIMEOUT``,
-``EndpointThread.JOIN_TIMEOUT``) plus hardcoded literals (``join(10)``
-in the fleet's process teardown), which made it impossible to reason
-about how a deadline composes with a drain.  The class attributes still
-exist (callers and tests override them per instance), but they are
-*assigned from* these constants, so this module is the single place the
-numbers live.
+(``WorkloadServer.CLOSE_DRAIN_TIMEOUT``, ``ServerThread.JOIN_TIMEOUT``),
+which made it impossible to reason about how a deadline composes with a
+drain.  The class attributes still exist (callers and tests override
+them per instance), but they are *assigned from* these constants, so
+this module is the single place the numbers live.
 
 The composition rules the constants encode:
 
@@ -19,9 +17,6 @@ The composition rules the constants encode:
   (``JOIN``) — the join bound must leave room for the drain bound plus
   loop teardown, or a close would report a wedged thread that was
   merely draining.
-* ``PROCESS_JOIN`` bounds each stage of fleet-member teardown
-  (terminate → join → kill → join); a full teardown is therefore at
-  most ``2 * PROCESS_JOIN`` per member.
 * Per-request :class:`~repro.serving.resilience.Deadline` budgets cap
   every socket operation they cover at ``min(remaining, REQUEST)`` —
   a deadline tightens the static timeouts, never loosens them.
@@ -29,25 +24,19 @@ The composition rules the constants encode:
 
 from __future__ import annotations
 
-#: Bound on dialing one peer (client -> server, router -> member).
+#: Bound on dialing one peer (the chaos proxy dialing its upstream).
 CONNECT_TIMEOUT = 10.0
 
 #: Default per-socket-operation budget of a blocking client request
 #: (each frame read/write, not the whole request).
 REQUEST_TIMEOUT = 30.0
 
-#: Bound on an endpoint's ``aclose()`` drain of cancelled in-flight
-#: connection handlers (server and router alike).
+#: Bound on a server's ``aclose()`` drain of cancelled in-flight
+#: connection handlers.
 CLOSE_DRAIN_TIMEOUT = 5.0
 
-#: Bound on joining an endpoint's event-loop thread at ``close()``.
+#: Bound on joining a server's event-loop thread at ``close()``.
 JOIN_TIMEOUT = 10.0
-
-#: Bound on joining a fleet-member process at each teardown stage.
-PROCESS_JOIN_TIMEOUT = 10.0
-
-#: Bound on a freshly forked fleet member reporting its bound port.
-MEMBER_STARTUP_TIMEOUT = 30.0
 
 
 def validate() -> None:

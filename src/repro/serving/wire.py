@@ -81,16 +81,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 # exhaustiveness argument has to read).
 
 #: Top-level frame ``"type"`` tags (workload request frames carry no
-#: ``type`` key — any untagged dict frame is a workload).  ``ping`` /
-#: ``drain`` / ``undrain`` / ``ring`` are the fleet-control frames: a
-#: health probe (answered ``ok``), taking a named fleet member out of or
-#: back into the ring (answered ``ok``), and the ring-membership view.
-#: Only a :class:`~repro.serving.fleet.FleetRouter` serves the last
-#: three; a single server answers them with an ``error`` frame.
+#: ``type`` key — any untagged dict frame is a workload).  ``ping`` is
+#: the health probe (answered ``ok``) a circuit breaker sends before it
+#: lets requests through again.
 FRAME_TYPES = frozenset({
     "shard", "done", "error", "stats", "ok",
-    "need_instances", "put_instances",
-    "ping", "drain", "undrain", "ring",
+    "need_instances", "put_instances", "ping",
 })
 
 #: Instance/query record ``"type"`` tags inside workload frames.
@@ -509,21 +505,6 @@ _fingerprint_lock = threading.Lock()
 _digest_history: "weakref.WeakKeyDictionary[object, list[tuple[int, str, int]]]" \
     = weakref.WeakKeyDictionary()
 _DIGEST_HISTORY_CAP = 8
-
-
-def reinit_after_fork() -> None:
-    """Replace the module-level fingerprint lock with a fresh one.
-
-    A process forked while *another* thread held ``_fingerprint_lock``
-    inherits the lock in its held state — permanently, since the owning
-    thread does not exist in the child — and the first fingerprint call
-    there deadlocks.  Forked children that use the wire codecs (the
-    fleet member processes) call this first thing, before any thread
-    exists in the child, so the hazard window closes for good.  The memo
-    itself is value-cached and safe to inherit.
-    """
-    global _fingerprint_lock
-    _fingerprint_lock = threading.Lock()
 
 
 def _fingerprint_with_record(

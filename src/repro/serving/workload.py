@@ -180,20 +180,15 @@ class WorkloadResult:
     document order for twig items (even when a remote server computed the
     answer — servers ship pre-order positions, not copies), a set of
     ``(source, target)`` pairs for RPQ items, a bool for acceptance items.
-    ``executor`` names where the shards ran: ``"serial"`` in-process,
-    ``"remote:<server's>"`` over the wire, the backend's name through
-    an evaluation backend.
     """
 
     workload: Workload
     answers: tuple
-    executor: str
     n_shards: int
 
     @classmethod
     def assemble(cls, workload: Workload,
-                 shard_answers: Iterable[ShardAnswer],
-                 executor: str) -> "WorkloadResult":
+                 shard_answers: Iterable[ShardAnswer]) -> "WorkloadResult":
         """Merge shard answers, in any arrival order, back by position."""
         answers: list = [None] * len(workload)
         n_shards = 0
@@ -201,7 +196,7 @@ class WorkloadResult:
             n_shards += 1
             for position, answer in shard_answer:
                 answers[position] = answer
-        return cls(workload, tuple(answers), executor, n_shards)
+        return cls(workload, tuple(answers), n_shards)
 
     def __len__(self) -> int:
         return len(self.answers)
@@ -214,4 +209,4 @@ class WorkloadResult:
 
     def __repr__(self) -> str:
         return (f"<WorkloadResult {len(self.answers)} answers "
-                f"executor={self.executor} shards={self.n_shards}>")
+                f"shards={self.n_shards}>")

@@ -161,9 +161,9 @@ def test_lock_discipline_delta_cache_positive():
 
 
 def test_lock_discipline_delta_cache_negative():
-    # The discipline the fleet router's delta layer follows: record
-    # store and byte gauge guarded, loop-thread counters lock-free with
-    # written reasons.
+    # The discipline a delta record cache follows: record store and
+    # byte gauge guarded, loop-thread counters lock-free with written
+    # reasons.
     report = run(fixture_dir("lock-discipline") / "good_delta_cache.py")
     assert report.ok, report.render_text()
 

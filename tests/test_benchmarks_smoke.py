@@ -35,7 +35,6 @@ SMOKE_RUNNERS = {
     "bench_e10_twig_consistency": "test_e10_consistency_speed",
     "bench_engine_cache": "test_engine_rpq_cache_speedup",
     "bench_ext_extensions": "test_ext_union_consistency_trivial_speed",
-    "bench_fleet": "test_fleet_failover_round",
     "bench_mutation_rounds": "test_prefetch_hit_rate",
     "bench_remote_session": "test_local_backend_session_speed",
     "bench_resilience": "test_retry_wrapper_overhead",

@@ -114,3 +114,22 @@ def test_string_rendering_reparses(regex):
     nfa2 = compile_regex(parse_regex(rendered))
     for word in [(), ("h",), ("h", "n"), ("l", "l", "l")]:
         assert nfa1.accepts(word) == nfa2.accepts(word)
+
+
+def test_compiled_nfa_is_freed_by_reference_counting():
+    """An NFA dies with its last reference, not at the next cyclic
+    collection: compiling leaves no reference cycle behind."""
+    import gc
+    import weakref
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nfa = compile_regex(parse_regex("r.(s|r)*"))
+        assert nfa.accepts(("r", "s", "r"))
+        dead = weakref.ref(nfa)
+        del nfa
+        assert dead() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -3,10 +3,9 @@
 Round-trip property: any edit script through the tracked mutators,
 encoded from the instance's own edit log, JSON-serialised, decoded, and
 applied to a pristine copy of the base, reproduces the mutated instance
-— both as a live instance (:func:`apply_delta_copy`) and as the encoded
-record a fleet router patches in its record cache
-(:meth:`FleetRouter.patch_record`), with digests agreeing at every
-corner.
+— both from a live copy and from the base as a server receives it (its
+encoded record off the wire, decoded), through :func:`apply_delta_copy`,
+with digests agreeing at every corner.
 
 The delta path is an optimisation layered on the content-addressed
 protocol, never a correctness dependency: these suites are what lets
@@ -23,11 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.version import instance_version
-from repro.serving.fleet import FleetRouter
+from repro.serving import InstanceStore, Workload
 from repro.serving.wire import (
+    NeedInstances,
     ProtocolError,
+    WorkloadCodec,
     apply_delta_copy,
     decode_delta,
+    decode_instance_record,
     delta_record_for,
     encode_delta,
     encode_instance_record,
@@ -35,6 +37,7 @@ from repro.serving.wire import (
     instance_fingerprint,
     record_digest,
 )
+from repro.twig.parse import parse_twig
 from repro.xmltree.tree import XTree, node, subtree_record
 
 from .conftest import (
@@ -47,34 +50,23 @@ from .test_engine_columnar import small_graphs
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def _router_holding(instance: object) -> FleetRouter:
-    """A router (never started) whose record cache holds ``instance``,
-    encoded as it arrives off the wire."""
-    router = FleetRouter({"m0": ("127.0.0.1", 1)})
-    digest, size = instance_fingerprint(instance)
-    record = json.loads(json.dumps(encode_instance_record(instance)))
-    router.record_store.put(digest, {**record, "digest": digest}, size)
-    return router
-
-
-def _patch_through_router(instance: object, seed: int, count: int,
+def _patch_decoded_record(instance: object, seed: int, count: int,
                           edit) -> None:
-    """Edit ``instance``, patch the router's cached base record with the
-    delta, and check the patched record against the live mutation."""
-    router = _router_holding(instance)
+    """Edit ``instance``, patch its base as a server holds it (the
+    encoded record off the wire, decoded) with the delta, and check the
+    patched instance against the live mutation."""
     d0 = instance_digest(instance)
-    base_record = router.record_store.get(d0)
+    base_record = json.loads(json.dumps(encode_instance_record(instance)))
     v0 = instance_version(instance)
     edit(instance, random.Random(seed), count)
     d1 = instance_digest(instance)
     delta = decode_delta(json.loads(json.dumps(
         encode_delta(instance, d0, d1, instance.edits_since(v0)))))
-    patched = router.patch_record(delta)
-    assert patched is not None and patched["digest"] == d1
-    assert record_digest(patched)[0] == d1
-    assert router.record_store.get(d1) is patched
-    # The base record is still cached and still encodes the old state.
-    assert router.record_store.get(d0) is base_record
+    base = decode_instance_record(base_record)
+    patched = apply_delta_copy(base, delta)
+    assert record_digest(encode_instance_record(patched))[0] == d1
+    # The decoded base was not written and still encodes the old state.
+    assert instance_digest(base) == d0
     assert record_digest(base_record)[0] == d0
 
 
@@ -108,9 +100,9 @@ def test_tree_delta_roundtrip_reproduces_the_mutation(tree, seed, count):
 @settings(max_examples=60, deadline=None)
 @given(xnode_trees(max_depth=4, max_children=3), SEEDS, st.integers(1, 6))
 def test_tree_record_patch_matches_instance_digest(tree, seed, count):
-    """The router's path: patching its cached *encoded* record lands on
-    the same digest as the live mutation."""
-    _patch_through_router(XTree(tree), seed, count, random_tree_edits)
+    """The server's path: patching the base decoded from its *encoded*
+    record lands on the same digest as the live mutation."""
+    _patch_decoded_record(XTree(tree), seed, count, random_tree_edits)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ def test_graph_delta_roundtrip_reproduces_the_mutation(graph, seed, count):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), SEEDS, st.integers(1, 6))
 def test_graph_record_patch_matches_instance_digest(graph, seed, count):
-    _patch_through_router(graph, seed, count, random_graph_edits)
+    _patch_decoded_record(graph, seed, count, random_graph_edits)
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +214,31 @@ def test_record_patch_rejects_paths_off_the_record():
         apply_delta_copy(doc, delta)
 
 
-def test_router_patch_declines_what_it_cannot_verify():
-    """Unknown base, an op off the tree, a lying target digest: the
-    router returns no record and counts no patch, leaving the gap to
-    the ``need_instances`` negotiation."""
-    doc = _big_doc("router")
-    router = _router_holding(doc)
-    d0 = instance_digest(doc)
-    v0 = instance_version(doc)
+def test_decode_workload_declines_a_delta_it_cannot_verify():
+    """Unknown base, an op off the tree, a lying target digest: decoding
+    the workload raises ``NeedInstances`` and stores nothing, leaving
+    the gap to the ``need_instances`` negotiation."""
+    doc = _big_doc("decode")
+    d0, size = instance_fingerprint(doc)
+    store = InstanceStore()
+    store.put(d0, decode_instance_record(
+        json.loads(json.dumps(encode_instance_record(doc)))), size)
     doc.relabel_node(doc.root.children[0].children[0], text="edited")
-    good = decode_delta(encode_delta(doc, d0, instance_digest(doc),
-                                     doc.edits_since(v0)))
+    d1 = instance_digest(doc)
+    frame = json.loads(json.dumps(WorkloadCodec().encode_workload(
+        Workload.twig(parse_twig("//name"), [doc]), known_digests={d0})))
+    good = frame["instances"][0]
+    assert (good["type"], good["from"], good["to"]) == ("delta", d0, d1)
     relabel_off_tree = {"op": "relabel", "path": [99], "label": "z",
                         "text": None}
     for delta in ({**good, "from": "0" * len(d0)},
                   {**good, "ops": [relabel_off_tree]},
                   {**good, "to": "0" * len(d0)}):
-        assert router.patch_record(delta) is None
-        assert router.deltas_patched == 0
-    assert router.patch_record(good) is not None
-    assert router.deltas_patched == 1
+        with pytest.raises(NeedInstances):
+            WorkloadCodec().decode_workload(
+                {**frame, "instances": [delta]}, store=store)
+        assert len(store) == 1
+    workload = WorkloadCodec().decode_workload(frame, store=store)
+    patched = workload[0].instance
+    assert instance_digest(patched) == d1
+    assert store.get(d1) is patched

@@ -80,7 +80,6 @@ def test_async_run_matches_sync_on_every_executor():
     serial = BatchEvaluator(engine=engine).run(workload)
     result = asyncio.run(AsyncBatchEvaluator(engine=engine).run(workload))
     assert len(result) == len(serial)
-    assert result.executor == serial.executor == "serial"
     assert result.n_shards == serial.n_shards
     # Twig answers: same node objects, same order.
     assert identical_answers(result.answers[:2], serial.answers[:2])
@@ -192,7 +191,7 @@ def test_local_stream_first_shard_before_batch_completes():
     assert recorder.evaluated < len(docs)  # ...before the batch finished
     rest = list(stream)
     assert recorder.evaluated == len(docs)
-    merged = WorkloadResult.assemble(workload, [first_shard, *rest], "local")
+    merged = WorkloadResult.assemble(workload, [first_shard, *rest])
     assert identical_answers(merged.answers, backend.run(workload).answers)
 
 

@@ -22,6 +22,7 @@ from repro.serving import (
     Workload,
     WorkloadClient,
     WorkloadCodec,
+    WorkloadResult,
 )
 from repro.serving.wire import (
     decode_path_query,
@@ -33,7 +34,7 @@ from repro.serving.wire import (
     send_frame_blocking,
 )
 from repro.twig.parse import parse_twig
-from repro.xmltree.tree import XTree, trees_equal
+from repro.xmltree.tree import XTree, node, trees_equal
 
 from .conftest import identical_answers, twig_queries, xml, xnode_trees
 
@@ -226,7 +227,6 @@ def test_tcp_round_trip_identical_to_local_serial(tcp_server):
     local = BatchEvaluator(engine=Engine()).run(workload)
     with WorkloadClient(*tcp_server.address) as client:
         remote = client.run(workload)
-    assert remote.executor == "remote:serial"
     assert remote.n_shards == len(workload.shards())
     assert identical_answers(remote.answers[:3], local.answers[:3])
     assert remote.answers[3] == local.answers[3]
@@ -260,7 +260,6 @@ def test_tcp_thread_backend_and_graph_sources():
         with WorkloadClient(*server.address) as client:
             remote = client.run(workload)
         assert remote.answers == local.answers
-        assert remote.executor == "remote:serial"
 
 
 def test_server_reports_errors_without_dropping_connection(tcp_server):
@@ -282,6 +281,31 @@ def test_server_reports_errors_without_dropping_connection(tcp_server):
             if frame["type"] != "shard":
                 break
         assert [f["type"] for f in frames] == ["shard", "done"]
+
+
+def test_unsupported_request_types_get_one_error_frame_each(tcp_server):
+    """``drain`` and ``ring`` are not protocol frames: each gets one
+    ``error`` frame naming its type, and the same connection then serves
+    a workload like the local run."""
+    workload = _full_workload()
+    local = BatchEvaluator(engine=Engine()).run(workload)
+    with socket.create_connection(tcp_server.address, timeout=30.0) as sock:
+        for request in ({"type": "drain", "member": "m0"},
+                        {"type": "ring"}):
+            send_frame_blocking(sock, request)
+            reply = recv_frame_blocking(sock)
+            assert reply["type"] == "error"
+            assert (f"unsupported request frame type {request['type']!r}"
+                    in reply["message"])
+        codec = WorkloadCodec()
+        send_frame_blocking(sock, codec.encode_workload(workload))
+        shard_answers = []
+        while (frame := recv_frame_blocking(sock))["type"] == "shard":
+            shard_answers.append(codec.decode_shard_answer(workload, frame))
+        assert frame["type"] == "done"
+    remote = WorkloadResult.assemble(workload, shard_answers)
+    assert identical_answers(remote.answers[:3], local.answers[:3])
+    assert list(remote.answers[3:]) == list(local.answers[3:])
 
 
 def test_client_surfaces_server_error_as_protocol_error(tcp_server):
@@ -340,7 +364,6 @@ def test_stats_frame_reports_live_server_engine_counters():
     with ServerThread(AsyncBatchEvaluator(engine=engine)) as server:
         with WorkloadClient(*server.address) as client:
             before = client.stats()
-            assert before["executor"] == "serial"
             assert before["engine"]["document_builds"] == \
                 engine.stats()["document_builds"]
             workload = Workload.twig(parse_twig("//b"),
@@ -559,12 +582,12 @@ def test_http_stats_endpoint_serves_wire_stats_json():
         # Same payload shape as the wire stats frame, scrapeable over
         # HTTP; counters can only have moved forward in between.
         assert set(http_stats) == set(wire_stats)
-        assert http_stats["executor"] == wire_stats["executor"]
         assert http_stats["instance_cache"]["instances"] == \
             wire_stats["instance_cache"]["instances"]
         with pytest.raises(urllib.error.HTTPError) as not_found:
             urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=10)
         assert not_found.value.code == 404
+        not_found.value.close()  # the error holds the response's socket
 
 
 def test_mutation_between_rounds_changes_digest_and_refetches():
@@ -603,6 +626,74 @@ def test_mutation_between_rounds_changes_digest_and_refetches():
         Workload.twig(twig_q, [doc]) + Workload.rpq(rpq_q, [graph]))
     assert identical_answers([second.answers[0]], [local.answers[0]])
     assert second.answers[1] == local.answers[1]
+
+
+def _mutation_doc(tag: str) -> XTree:
+    """A document big enough that a one-node edit ships as a delta
+    (delta records only ship when smaller than the full record)."""
+    return XTree(node(
+        "site",
+        *[node("item", node("name", text=f"{tag}-{i}"),
+               node("price", text=str(i))) for i in range(40)]))
+
+
+def _edit_round(docs, doc) -> tuple[WorkloadResult, dict, dict, dict]:
+    """Run a twig workload over ``docs`` twice on a fresh server, with a
+    tracked edit of ``doc`` in between.  Returns the second round's
+    result, the server's engine stats around it, and how many records
+    the client shipped during it (full records and deltas)."""
+    workload = Workload.twig(parse_twig("//item[price]/name"), docs)
+    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
+        with WorkloadClient(*server.address) as client:
+            registry: set[str] = set()
+            client.run(workload, known_digests=registry)
+            shipped = (client.instances_shipped, client.deltas_shipped)
+            before = client.stats()["engine"]
+            doc.relabel_node(doc.root.children[0].children[1],
+                             label="cost")
+            result = client.run(workload, known_digests=registry)
+            after = client.stats()["engine"]
+            round_two = {
+                "full": client.instances_shipped - shipped[0],
+                "delta": client.deltas_shipped - shipped[1]}
+    return result, before, after, round_two
+
+
+def test_tracked_edit_between_rounds_patches_the_stored_instance():
+    """A tracked edit between two rounds ships one delta record, and the
+    server replays it onto its stored instance: the warm index is
+    patched, not rebuilt, and the answers are the local run's nodes."""
+    doc = _mutation_doc("in-place")
+    result, before, after, shipped = _edit_round([doc], doc)
+    assert shipped == {"full": 0, "delta": 1}
+    assert after["document_patches"] == before["document_patches"] + 1
+    # document_builds counts patched indexes too.
+    assert (after["document_builds"] - after["document_patches"]
+            == before["document_builds"] - before["document_patches"])
+    local = BatchEvaluator(engine=Engine()).run(result.workload)
+    assert len(local.answers[0]) == 39  # the edit changed the answer
+    assert identical_answers(result.answers, local.answers)
+
+
+@pytest.mark.parametrize("edited_first", [False, True],
+                         ids=["copy-first", "edited-first"])
+def test_tracked_edit_beside_an_unmodified_copy_of_its_base(edited_first):
+    """The same request also refers to the delta's base (through an
+    unmodified copy).  Copy first, the base is already in use, so the
+    delta patches a structural copy: no patch, no re-ship.  Edited
+    document first, it patches the stored base in place, and the copy's
+    ref to the old digest renegotiates once."""
+    doc = _mutation_doc("twin")
+    twin = doc.copy()
+    docs = [doc, twin] if edited_first else [twin, doc]
+    result, before, after, shipped = _edit_round(docs, doc)
+    patches = after["document_patches"] - before["document_patches"]
+    if edited_first:
+        assert (patches, shipped) == (1, {"full": 1, "delta": 1})
+    else:
+        assert (patches, shipped) == (0, {"full": 0, "delta": 1})
+    local = BatchEvaluator(engine=Engine()).run(result.workload)
+    assert identical_answers(result.answers, local.answers)
 
 
 def test_instance_store_lru_accounting():
@@ -785,6 +876,28 @@ def test_server_thread_close_is_prompt_with_a_stuck_connection():
         assert time.monotonic() - start < ServerThread.JOIN_TIMEOUT
     finally:
         stuck.close()
+
+
+@pytest.mark.parametrize("endpoint", ["workload", "stats"])
+def test_close_closes_a_connection_accepted_just_before(endpoint):
+    """A connection made just before the server closes is closed with
+    it: ten times over, a raw socket connects (to the workload or the
+    HTTP stats port), the server closes at once, and the socket reads
+    end-of-stream within a second."""
+    for _ in range(10):
+        thread = ServerThread(AsyncBatchEvaluator(engine=Engine()),
+                              stats_port=0)
+        address = thread.address if endpoint == "workload" \
+            else thread.stats_address
+        with socket.create_connection(address, timeout=5.0) as sock:
+            thread.close()
+            sock.settimeout(1.0)
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                # Closed before the server accepted it: the kernel
+                # resets a connection still queued on a closed listener.
+                pass
 
 
 # ---------------------------------------------------------------------------

@@ -209,14 +209,11 @@ def test_shard_gate_sheds_expired_deadlines():
 
 
 def test_timeout_constants_validate_and_back_class_attributes():
-    from repro.serving.fleet import FleetRouter
-    from repro.serving.net import EndpointThread, WorkloadServer
+    from repro.serving.net import ServerThread, WorkloadServer
 
     timeouts.validate()
     assert WorkloadServer.CLOSE_DRAIN_TIMEOUT == timeouts.CLOSE_DRAIN_TIMEOUT
-    assert FleetRouter.CLOSE_DRAIN_TIMEOUT == timeouts.CLOSE_DRAIN_TIMEOUT
-    assert FleetRouter.CONNECT_TIMEOUT == timeouts.CONNECT_TIMEOUT
-    assert EndpointThread.JOIN_TIMEOUT == timeouts.JOIN_TIMEOUT
+    assert ServerThread.JOIN_TIMEOUT == timeouts.JOIN_TIMEOUT
 
 
 # ---------------------------------------------------------------------------
