@@ -28,7 +28,7 @@ from repro.graphdb.graph import Graph, VertexId
 from repro.graphdb.pathquery import PathQuery
 from repro.learning.backend import EvaluationBackend, Workload, as_backend
 from repro.learning.path_learner import lgg_path, normalize
-from repro.learning.protocol import SessionStats
+from repro.learning.protocol import InformativenessLedger, SessionStats
 from repro.learning.workload import WorkloadPriors
 
 
@@ -68,10 +68,14 @@ class InteractivePathSession:
         self.goal = goal
         self.priors = priors
         # The per-interaction acceptance scan over all pending words runs
-        # as one complete backend batch, followed by its implied-negative
-        # probes.  The candidate enumeration is backend-served and cached
-        # per (graph, endpoints) — always client-side pool construction,
-        # even on a remote backend.
+        # as one complete backend batch.  Then each rejected word's
+        # implied-negative check goes through the run's ledger: while the
+        # hypothesis is unchanged, a word's widened query is probed only
+        # against the negatives it has not yet been checked against, and
+        # a word already implied negative is not probed again.  The
+        # candidate enumeration is backend-served and cached per (graph,
+        # endpoints) — always client-side pool construction, even on a
+        # remote backend.
         self.backend = as_backend(backend)
         self.candidates = self.backend.words_between(
             graph, source, target, max_length=max_length,
@@ -86,32 +90,36 @@ class InteractivePathSession:
     def _accepts(self, query: PathQuery, word: Word) -> bool:
         return self.backend.accepts(query, word)
 
-    def _implied_negative(self, hypothesis: PathQuery | None, word: Word,
-                          negatives: list[Word]) -> bool:
-        if hypothesis is None or not negatives:
-            return False
-        widened = lgg_path(hypothesis, normalize(PathQuery.of_word(word)))
-        return self.backend.accepts_any(widened, negatives)
+    def _widen(self, hypothesis: PathQuery, word: Word) -> PathQuery:
+        return lgg_path(hypothesis, normalize(PathQuery.of_word(word)))
 
     def _rank(self, words: list[Word]) -> list[Word]:
         if self.priors is not None:
             return [tuple(w) for w in self.priors.rank(words)]
         return sorted(words, key=lambda w: (len(w), w))
 
-    def _informative_flags(self, hypothesis: PathQuery | None,
+    def _informative_flags(self, ledger: InformativenessLedger,
+                           hypothesis: PathQuery | None,
                            pending: list[Word],
                            negatives: list[Word]) -> list[bool]:
         """One acceptance round: which pending words stay informative?
 
         One complete acceptance batch checks every pending word; then
-        each rejected word's implied-negative probe runs, in pool order.
+        each rejected word's implied-negative check runs, in pool order,
+        probing only what the ledger has not yet seen.
         """
         if hypothesis is None:
             return [True] * len(pending)
         accepted = self.backend.accepts_batch(hypothesis, pending)
-        return [not acc and not self._implied_negative(hypothesis, word,
-                                                       negatives)
-                for word, acc in zip(pending, accepted)]
+        flags = []
+        for word, acc in zip(pending, accepted):
+            if acc:
+                ledger.forget(word)
+                flags.append(False)
+            else:
+                flags.append(not ledger.implied_negative(
+                    word, hypothesis, negatives))
+        return flags
 
     # ------------------------------------------------------------------
     def run(self, *, max_questions: int | None = None) -> PathSessionResult:
@@ -120,10 +128,12 @@ class InteractivePathSession:
         negatives: list[Word] = []
         pending = list(self.candidates)
         converged_at: int | None = None
+        ledger = InformativenessLedger(self._widen, self.backend.accepts_any)
 
         while True:
             # One acceptance batch per interaction over all pending words.
-            flags = self._informative_flags(hypothesis, pending, negatives)
+            flags = self._informative_flags(ledger, hypothesis, pending,
+                                            negatives)
             informative = [w for w, flag in zip(pending, flags) if flag]
             if not informative:
                 break
@@ -150,13 +160,13 @@ class InteractivePathSession:
                 # this batch.
                 self.backend.prefetch(Workload.accepts(hypothesis, pending))
 
-        # Final label propagation: one batch, then its probes.
+        # Final label propagation: one batch, then the ledger's verdicts.
         if hypothesis is not None:
             accepted = self.backend.accepts_batch(hypothesis, pending)
             for word, acc in zip(pending, accepted):
                 if acc:
                     stats.implied_positive += 1
-                elif self._implied_negative(hypothesis, word, negatives):
+                elif ledger.implied_negative(word, hypothesis, negatives):
                     stats.implied_negative += 1
         return PathSessionResult(hypothesis, stats, len(self.candidates),
                                  converged_at)

@@ -149,9 +149,13 @@ class InteractiveJoinSession:
         self.right = right
         self.goal = goal
         self.strategy = strategy or LatticeStrategy()
-        # The per-interaction informativeness scan over the pending pool
-        # runs through the evaluation backend's order-preserving map, so
-        # the proposal sequence is identical under any backend.
+        # The per-interaction informativeness scan runs through the
+        # evaluation backend's order-preserving map, so the proposal
+        # sequence is identical under any backend.  It covers only the
+        # pairs still informative after the previous round: a pair's
+        # status never leaves IMPLIED_POSITIVE or IMPLIED_NEGATIVE (Θ only
+        # shrinks and the negatives only grow), so a settled pair leaves
+        # the scan for good.
         self.backend = as_backend(backend)
         r = make_rng(rng)
         pool = [(lrow, rrow) for lrow in left for rrow in right]
@@ -173,11 +177,13 @@ class InteractiveJoinSession:
         """Ask until every pool pair is labelled or uninformative."""
         stats = SessionStats()
         pending = list(self.pool)
+        # The pairs not yet settled, in pool order.
+        informative = pending
         while True:
-            # One scan over the pending pool, flags in pool order.
+            # One scan over the unsettled pairs, flags in pool order.
             flags = self.backend.map(
-                lambda pair: self.space.is_informative(*pair), pending)
-            informative = [p for p, flag in zip(pending, flags) if flag]
+                lambda pair: self.space.is_informative(*pair), informative)
+            informative = [p for p, flag in zip(informative, flags) if flag]
             if not informative:
                 break
             if max_questions is not None and stats.questions >= max_questions:
@@ -190,6 +196,8 @@ class InteractiveJoinSession:
             stats.asked.append(repr(pair))
             self.space.add(PairExample(pair[0], pair[1], answer))
             pending.remove(pair)
+            informative.remove(pair)
+        # Final propagation over every unasked pair, settled ones included.
         for pair in pending:
             status = self.space.status(*pair)
             if status is PairStatus.IMPLIED_POSITIVE:

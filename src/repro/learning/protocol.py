@@ -8,12 +8,15 @@ Task in the crowdsourcing reading of the paper).
 
 This module defines the example record for XML (``NodeExample``), the
 simulated user (``TwigOracle``), and the interaction bookkeeping
-(``SessionStats``) shared by every interactive session in the library.
+(``SessionStats``, ``InformativenessLedger``) shared by the interactive
+sessions in the library.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.twig.ast import TwigQuery
 # repro: allow[backend-seam] the oracle IS the simulated user: its ground
@@ -99,3 +102,59 @@ class SessionStats:
         self.candidates_considered += other.candidates_considered
         self.notes.extend(other.notes)
         self.asked.extend(other.asked)
+
+
+class InformativenessLedger:
+    """What each pending candidate's last implied-negative probe established.
+
+    A candidate is *implied negative* when its *widened query* (the
+    hypothesis generalised with that candidate) selects or accepts a
+    known negative.  A negative answer keeps the hypothesis object and a
+    positive answer replaces it, so per candidate the ledger holds the
+    hypothesis it widened against, the widened query (``None`` once that
+    query selected a negative: *settled*) and how many negatives the query
+    has been checked against.  Each probe re-derives only what the newest
+    answer can change:
+
+    * same hypothesis object, settled: implied negative, not probed;
+    * same hypothesis object, not settled: probe the stored widened query
+      against the negatives added since, and send nothing when there are
+      none;
+    * new hypothesis: re-widen and probe against every negative.
+
+    Each rule gives the verdict of widening and probing every negative
+    from scratch.  A session creates one ledger per ``run()``, so it dies
+    with the run.
+    """
+
+    __slots__ = ("_widen", "_probe", "_entries")
+
+    def __init__(self, widen: Callable[[Any, Any], Any],
+                 probe: Callable[[Any, Sequence[Any]], bool]) -> None:
+        self._widen = widen
+        self._probe = probe
+        self._entries: dict[Hashable, list[Any]] = {}
+
+    def implied_negative(self, candidate: Hashable, hypothesis: Any,
+                         negatives: Sequence[Any]) -> bool:
+        """Is ``candidate`` implied negative under ``hypothesis``?"""
+        if hypothesis is None or not negatives:
+            return False
+        entry = self._entries.get(candidate)
+        if entry is None or entry[0] is not hypothesis:
+            entry = [hypothesis, self._widen(hypothesis, candidate), 0]
+            self._entries[candidate] = entry
+        elif entry[1] is None:
+            return True
+        fresh = negatives[entry[2]:]
+        if not fresh:
+            return False
+        entry[2] = len(negatives)
+        if self._probe(entry[1], fresh):
+            entry[1] = None
+            return True
+        return False
+
+    def forget(self, candidate: Hashable) -> None:
+        """Drop the entry of a candidate the hypothesis selects."""
+        self._entries.pop(candidate, None)

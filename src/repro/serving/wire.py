@@ -330,31 +330,36 @@ def _decode_graph(obj: dict) -> Graph:
 
 
 def encode_twig_query(query: TwigQuery) -> dict:
-    def go(n: TwigNode) -> dict:
-        out: dict[str, Any] = {"label": n.label}
-        if n is query.selected:
-            out["selected"] = True
-        if n.branches:
-            out["branches"] = [[axis.value, go(child)]
-                               for axis, child in n.branches]
-        return out
+    return {"root_axis": query.root_axis.value,
+            "root": _encode_twig_node(query.root, query.selected)}
 
-    return {"root_axis": query.root_axis.value, "root": go(query.root)}
+
+# The twig node codecs are module-level and take their state as
+# arguments: a recursive inner function would close over itself and keep
+# the query it walks in a reference cycle on every request.
+def _encode_twig_node(n: TwigNode, selected: TwigNode) -> dict:
+    out: dict[str, Any] = {"label": n.label}
+    if n is selected:
+        out["selected"] = True
+    if n.branches:
+        out["branches"] = [[axis.value, _encode_twig_node(child, selected)]
+                           for axis, child in n.branches]
+    return out
+
+
+def _decode_twig_node(o: dict, selected: list[TwigNode]) -> TwigNode:
+    n = TwigNode(o["label"])
+    if o.get("selected"):
+        selected.append(n)
+    for axis, child in o.get("branches", ()):
+        n.add(Axis(axis), _decode_twig_node(child, selected))
+    return n
 
 
 def decode_twig_query(obj: dict) -> TwigQuery:
     selected: list[TwigNode] = []
-
-    def go(o: dict) -> TwigNode:
-        n = TwigNode(o["label"])
-        if o.get("selected"):
-            selected.append(n)
-        for axis, child in o.get("branches", ()):
-            n.add(Axis(axis), go(child))
-        return n
-
     try:
-        root = go(obj["root"])
+        root = _decode_twig_node(obj["root"], selected)
         if len(selected) != 1:
             raise ProtocolError(
                 f"twig query must mark exactly one selected node, "

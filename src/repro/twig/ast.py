@@ -86,14 +86,7 @@ class TwigNode:
     def copy_with_map(self) -> tuple["TwigNode", dict[int, "TwigNode"]]:
         """Deep copy; also return a map ``id(original) -> copy``."""
         mapping: dict[int, TwigNode] = {}
-
-        def go(n: TwigNode) -> TwigNode:
-            clone = TwigNode(n.label)
-            mapping[id(n)] = clone
-            clone.branches = [(axis, go(child)) for axis, child in n.branches]
-            return clone
-
-        return go(self), mapping
+        return _copy_into(self, mapping), mapping
 
     def canonical(self) -> tuple:
         """Hashable form, invariant under branch permutation."""
@@ -103,6 +96,54 @@ class TwigNode:
 
     def __repr__(self) -> str:
         return f"<TwigNode {self.label!r} {len(self.branches)} branches>"
+
+
+# The recursive helpers below are module-level functions that take their
+# state as arguments.  A recursive inner function would close over itself,
+# and that reference cycle keeps everything it refers to (a query, a
+# clone map) alive until the cyclic collector runs.
+
+def _copy_into(n: TwigNode, mapping: dict[int, TwigNode]) -> TwigNode:
+    clone = TwigNode(n.label)
+    mapping[id(n)] = clone
+    clone.branches = [(axis, _copy_into(child, mapping))
+                      for axis, child in n.branches]
+    return clone
+
+
+def _canonical_form(n: TwigNode, selected: TwigNode) -> tuple:
+    forms = sorted((axis.value, _canonical_form(child, selected))
+                   for axis, child in n.branches)
+    return (n.label, n is selected, tuple(forms))
+
+
+def _render_filter_body(axis: Axis, n: TwigNode) -> str:
+    prefix = "" if axis is Axis.CHILD else ".//"
+    return f"[{prefix}{_render_plain(n)}]"
+
+
+def _render_plain(n: TwigNode) -> str:
+    # Rendering for nodes strictly inside filters (no spine here).
+    if len(n.branches) == 1:
+        axis, child = n.branches[0]
+        return f"{n.label}{axis.value}{_render_plain(child)}"
+    return n.label + "".join(
+        _render_filter_body(axis, child) for axis, child in n.branches
+    )
+
+
+def _render_spine(n: TwigNode, spine_ids: set[int]) -> str:
+    parts = [n.label]
+    main_branch: tuple[Axis, TwigNode] | None = None
+    for axis, child in n.branches:
+        if id(child) in spine_ids and main_branch is None:
+            main_branch = (axis, child)
+        else:
+            parts.append(_render_filter_body(axis, child))
+    if main_branch is not None:
+        axis, child = main_branch
+        parts.append(f"{axis.value}{_render_spine(child, spine_ids)}")
+    return "".join(parts)
 
 
 class TwigQuery:
@@ -167,12 +208,8 @@ class TwigQuery:
     # ------------------------------------------------------------------
     def canonical(self) -> tuple:
         """Hashable form for syntactic equality (selected node marked)."""
-
-        def go(n: TwigNode) -> tuple:
-            forms = sorted((axis.value, go(child)) for axis, child in n.branches)
-            return (n.label, n is self.selected, tuple(forms))
-
-        return (self.root_axis.value, go(self.root))
+        return (self.root_axis.value,
+                _canonical_form(self.root, self.selected))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwigQuery):
@@ -193,34 +230,7 @@ class TwigQuery:
         (``[a/b//c]``) and multiple branches render as nested filters.
         """
         spine_ids = {id(n) for _, n in self.spine()}
-
-        def render_filter_body(axis: Axis, n: TwigNode) -> str:
-            prefix = "" if axis is Axis.CHILD else ".//"
-            return f"[{prefix}{render_plain(n)}]"
-
-        def render_plain(n: TwigNode) -> str:
-            # Rendering for nodes strictly inside filters (no spine here).
-            if len(n.branches) == 1:
-                axis, child = n.branches[0]
-                return f"{n.label}{axis.value}{render_plain(child)}"
-            return n.label + "".join(
-                render_filter_body(axis, child) for axis, child in n.branches
-            )
-
-        def render_spine(n: TwigNode) -> str:
-            parts = [n.label]
-            main_branch: tuple[Axis, TwigNode] | None = None
-            for axis, child in n.branches:
-                if id(child) in spine_ids and main_branch is None:
-                    main_branch = (axis, child)
-                else:
-                    parts.append(render_filter_body(axis, child))
-            if main_branch is not None:
-                axis, child = main_branch
-                parts.append(f"{axis.value}{render_spine(child)}")
-            return "".join(parts)
-
-        return f"{self.root_axis.value}{render_spine(self.root)}"
+        return f"{self.root_axis.value}{_render_spine(self.root, spine_ids)}"
 
     def __repr__(self) -> str:
         return f"TwigQuery({self.to_xpath()!r})"

@@ -21,18 +21,22 @@ from repro.xmltree.tree import XNode, XTree
 def canonical_query_for_node(tree: XTree, target: XNode) -> TwigQuery:
     """The most specific twig query selecting ``target`` in ``tree``."""
     selected_holder: list[TwigNode] = []
-
-    def build(n: XNode) -> TwigNode:
-        t = TwigNode(n.label)
-        if n is target:
-            selected_holder.append(t)
-        t.branches = [(Axis.CHILD, build(c)) for c in n.children]
-        return t
-
-    root = build(tree.root)
+    root = _pattern_of(tree.root, target, selected_holder)
     if not selected_holder:
         raise ValueError("target node does not belong to the tree")
     return TwigQuery(Axis.CHILD, root, selected_holder[0])
+
+
+def _pattern_of(n: XNode, target: XNode,
+                selected_holder: list[TwigNode]) -> TwigNode:
+    # Module-level, state passed in: a recursive inner function would sit
+    # in a reference cycle with everything it refers to.
+    t = TwigNode(n.label)
+    if n is target:
+        selected_holder.append(t)
+    t.branches = [(Axis.CHILD, _pattern_of(c, target, selected_holder))
+                  for c in n.children]
+    return t
 
 
 def random_twig(

@@ -29,29 +29,32 @@ def bool_embeds_at(pattern: TwigNode, target: TwigNode) -> bool:
 
     Root maps to root; no selected-node constraints.
     """
-    memo: dict[tuple[int, int], bool] = {}
+    return _embeds(pattern, target, {})
 
-    def go(u: TwigNode, v: TwigNode) -> bool:
-        key = (id(u), id(v))
-        if key in memo:
-            return memo[key]
-        if u.is_wildcard:
-            ok = True
-        else:
-            ok = (not v.is_wildcard) and u.label == v.label
-        if ok:
-            for axis, uc in u.branches:
-                if axis is Axis.CHILD:
-                    targets = [c for a, c in v.branches if a is Axis.CHILD]
-                else:
-                    targets = [d for _, c in v.branches for d in c.iter()]
-                if not any(go(uc, vc) for vc in targets):
-                    ok = False
-                    break
-        memo[key] = ok
-        return ok
 
-    return go(pattern, target)
+def _embeds(u: TwigNode, v: TwigNode,
+            memo: dict[tuple[int, int], bool]) -> bool:
+    # Module-level with its memo as an argument: a recursive inner
+    # function would close over itself and keep the memo in a reference
+    # cycle until the cyclic collector runs.
+    key = (id(u), id(v))
+    if key in memo:
+        return memo[key]
+    if u.is_wildcard:
+        ok = True
+    else:
+        ok = (not v.is_wildcard) and u.label == v.label
+    if ok:
+        for axis, uc in u.branches:
+            if axis is Axis.CHILD:
+                targets = [c for a, c in v.branches if a is Axis.CHILD]
+            else:
+                targets = [d for _, c in v.branches for d in c.iter()]
+            if not any(_embeds(uc, vc, memo) for vc in targets):
+                ok = False
+                break
+    memo[key] = ok
+    return ok
 
 
 def branch_implies(stronger: tuple[Axis, TwigNode],
@@ -102,12 +105,11 @@ def minimize(query: TwigQuery) -> TwigQuery:
     The input is not mutated.
     """
     result = query.copy()
-    protected = {id(n) for _, n in result.spine()}
-
-    def go(n: TwigNode) -> None:
-        for _, child in n.branches:
-            go(child)
-        n.branches = _prune_branches(n.branches, protected)
-
-    go(result.root)
+    _minimize_below(result.root, {id(n) for _, n in result.spine()})
     return result
+
+
+def _minimize_below(n: TwigNode, protected: set[int]) -> None:
+    for _, child in n.branches:
+        _minimize_below(child, protected)
+    n.branches = _prune_branches(n.branches, protected)

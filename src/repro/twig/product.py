@@ -71,6 +71,7 @@ class _BoolProducts:
     def __init__(self, practical: bool) -> None:
         self.practical = practical
         self._memo: dict[tuple[int, int], TwigNode] = {}
+        self._deep: dict[int, list[TwigNode]] = {}
 
     def _labels_pair(self, a: str, b: str) -> bool:
         if not self.practical:
@@ -84,8 +85,8 @@ class _BoolProducts:
             return _copy_node(cached)
         result = TwigNode(_product_label(u.label, v.label))
         branches: list[tuple[Axis, TwigNode]] = []
-        v_deep = [d for _, vc in v.branches for d in _deep_nodes(vc)]
-        u_deep = [d for _, uc in u.branches for d in _deep_nodes(uc)]
+        v_deep = [d for _, vc in v.branches for d in self.deep_nodes(vc)]
+        u_deep = [d for _, uc in u.branches for d in self.deep_nodes(uc)]
         for a_axis, uc in u.branches:
             for b_axis, vc in v.branches:
                 if self._labels_pair(uc.label, vc.label):
@@ -102,14 +103,17 @@ class _BoolProducts:
         self._memo[key] = result
         return _copy_node(result)
 
-
-def _deep_nodes(n: TwigNode) -> list[TwigNode]:
-    """Nodes at depth >= 2 below the parent of ``n`` (i.e. inside ``n``)."""
-    out: list[TwigNode] = []
-    for _, child in n.branches:
-        out.append(child)
-        out.extend(_deep_nodes(child))
-    return out
+    def deep_nodes(self, n: TwigNode) -> list[TwigNode]:
+        """Nodes at depth >= 2 below the parent of ``n`` (i.e. inside
+        ``n``), in pre-order; built once per factor node per product."""
+        deep = self._deep.get(id(n))
+        if deep is None:
+            deep = []
+            for _, child in n.branches:
+                deep.append(child)
+                deep.extend(self.deep_nodes(child))
+            self._deep[id(n)] = deep
+        return deep
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +121,15 @@ def _deep_nodes(n: TwigNode) -> list[TwigNode]:
 # ---------------------------------------------------------------------------
 
 
-def _spine_parts(q: TwigQuery) -> tuple[list[Axis], list[TwigNode]]:
+SpineParts = tuple[list[Axis], list[TwigNode]]
+
+
+def _spine_parts(q: TwigQuery) -> SpineParts:
     spine = q.spine()
     return [axis for axis, _ in spine], [n for _, n in spine]
 
 
-def _start_states(p: TwigQuery, q: TwigQuery,
-                  k: int, m: int) -> list[tuple[int, tuple[int, int]]]:
+def _start_states(k: int, m: int) -> list[tuple[int, tuple[int, int]]]:
     """Initial matched pairs with their cost.
 
     Any pair ``(i, j)`` can start an alignment: the product's root axis
@@ -158,13 +164,19 @@ def iter_alignments(p: TwigQuery, q: TwigQuery) -> Iterator[
     two spines, ending at the selected pair.  Uniform-cost search; the
     number of alignments is exponential in spine length, so consume lazily.
     """
-    p_axes, p_nodes = _spine_parts(p)
-    q_axes, q_nodes = _spine_parts(q)
+    yield from _alignments(_spine_parts(p), _spine_parts(q))
+
+
+def _alignments(p_parts: SpineParts, q_parts: SpineParts) -> Iterator[
+        tuple[int, Alignment]]:
+    """:func:`iter_alignments` over spines already split into parts."""
+    p_axes, p_nodes = p_parts
+    q_axes, q_nodes = q_parts
     k, m = len(p_nodes) - 1, len(q_nodes) - 1
 
     counter = 0
     heap: list[tuple[int, int, tuple[int, int], tuple]] = []
-    for cost, (i, j) in _start_states(p, q, k, m):
+    for cost, (i, j) in _start_states(k, m):
         cost += _pair_cost(p_nodes[i].label, q_nodes[j].label)
         counter += 1
         heapq.heappush(heap, (cost, counter, (i, j), ((i, j),)))
@@ -202,11 +214,11 @@ def _off_spine(spine_node: TwigNode,
             if next_spine is None or c is not next_spine]
 
 
-def _assemble(p: TwigQuery, q: TwigQuery, alignment: Alignment,
+def _assemble(p: TwigQuery, q: TwigQuery, p_parts: SpineParts,
+              q_parts: SpineParts, alignment: Alignment,
               products: _BoolProducts) -> TwigQuery:
-    p_axes, p_nodes = _spine_parts(p)
-    q_axes, q_nodes = _spine_parts(q)
-    k, m = len(p_nodes) - 1, len(q_nodes) - 1
+    p_axes, p_nodes = p_parts
+    q_axes, q_nodes = q_parts
 
     built: list[TwigNode] = []
     for idx, (i, j) in enumerate(alignment):
@@ -228,10 +240,10 @@ def _assemble(p: TwigQuery, q: TwigQuery, alignment: Alignment,
                         (combine_axes(a_axis, b_axis), products.node(uc, vc)))
         for _, uc in off_p:
             for _, vc in off_q:
-                for w in _deep_nodes(vc):
+                for w in products.deep_nodes(vc):
                     if products._labels_pair(uc.label, w.label):
                         filters.append((Axis.DESC, products.node(uc, w)))
-                for w in _deep_nodes(uc):
+                for w in products.deep_nodes(uc):
                     if products._labels_pair(w.label, vc.label):
                         filters.append((Axis.DESC, products.node(w, vc)))
         node.branches = prune_redundant_branches(filters)
@@ -262,8 +274,9 @@ def product(p: TwigQuery, q: TwigQuery, *,
     ``practical=False`` for the exhaustive Boolean product on small queries.
     """
     products = _BoolProducts(practical)
-    for _, alignment in iter_alignments(p, q):
-        return _assemble(p, q, alignment, products)
+    p_parts, q_parts = _spine_parts(p), _spine_parts(q)
+    for _, alignment in _alignments(p_parts, q_parts):
+        return _assemble(p, q, p_parts, q_parts, alignment, products)
     raise AssertionError("spine alignment search yielded no alignment")
 
 
@@ -276,9 +289,10 @@ def iter_products(p: TwigQuery, q: TwigQuery, *, practical: bool = True,
     cheapest generalisation selects a negative example.
     """
     products = _BoolProducts(practical)
+    p_parts, q_parts = _spine_parts(p), _spine_parts(q)
     count = 0
-    for _, alignment in iter_alignments(p, q):
-        yield _assemble(p, q, alignment, products)
+    for _, alignment in _alignments(p_parts, q_parts):
+        yield _assemble(p, q, p_parts, q_parts, alignment, products)
         count += 1
         if limit is not None and count >= limit:
             return

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.xmark import generate_xmark
 from repro.engine import Engine
 from repro.errors import LearningError
 from repro.graphdb.geo import make_geo_graph
@@ -15,7 +16,11 @@ from repro.learning.path_learner import (
     normalize,
 )
 from repro.learning.workload import WorkloadPriors
+from repro.learning.xml_session import InteractiveTwigSession
 from repro.serving import AsyncBatchEvaluator, ServerThread, WorkloadClient
+from repro.twig.parse import parse_twig
+
+from .session_oracles import OracleTwigSession
 
 
 def q(text):
@@ -141,9 +146,12 @@ def test_priors_do_not_hurt_convergence():
 
 
 def test_remote_session_sends_no_empty_workload(monkeypatch):
-    """Before the first negative answer no pending word can be implied
-    negative, so the session must not probe: over the wire each probe
-    is a round trip carrying an empty workload."""
+    """No session probe carries an empty workload: over the wire each
+    probe is a round trip.  Before the first negative answer no pending
+    candidate can be implied negative, and a ledger entry that is up to
+    date (as every entry is in a capped twig run's final propagation)
+    has nothing left to probe.  The ledger also cuts a remote twig
+    session's round trips below the recomputing loop's."""
     sizes: list[int] = []
     stream = WorkloadClient.stream
 
@@ -154,15 +162,36 @@ def test_remote_session_sends_no_empty_workload(monkeypatch):
     monkeypatch.setattr(WorkloadClient, "stream", counting_stream)
     g = make_geo_graph(rng=1, width=5, height=4)
     goal = q("highway+")
+    docs = [generate_xmark(scale=0.02, rng=700 + i) for i in range(3)]
+    twig_goal = parse_twig("//person[phone]/name")
 
     def session(backend):
         return InteractivePathSession(
             g, "city_0_0", "city_3_0", goal, max_length=8,
             max_candidates=80, backend=backend).run()
 
+    def twig_session(backend, cls=InteractiveTwigSession, **options):
+        return cls(docs, twig_goal, label_filter="name", max_pool=40,
+                   backend=backend).run(**options)
+
     baseline = session(LocalBackend(Engine()))
-    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server, \
-            RemoteBackend(*server.address) as backend:
-        remote = session(backend)
+    twig_baseline = twig_session(LocalBackend(Engine()))
+    capped_baseline = twig_session(LocalBackend(Engine()), max_questions=2)
+    with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:
+        with RemoteBackend(*server.address) as backend:
+            remote = session(backend)
+            twig_remote = twig_session(backend)
+            capped = twig_session(backend, max_questions=2)
+        with RemoteBackend(*server.address) as backend:
+            twig_session(backend)
+            ledger_requests = backend.client.requests
+        ledger_sizes = list(sizes)
+        with RemoteBackend(*server.address) as backend:
+            twig_session(backend, OracleTwigSession)
+            oracle_requests = backend.client.requests
     assert remote.stats == baseline.stats
-    assert sizes and 0 not in sizes
+    assert twig_remote.stats == twig_baseline.stats
+    assert capped.stats == capped_baseline.stats
+    assert capped.stats.questions == 2
+    assert ledger_sizes and 0 not in ledger_sizes
+    assert ledger_requests < oracle_requests

@@ -107,3 +107,57 @@ def test_size_and_depth():
     q = parse_twig("/a[b/c]/d")
     assert q.size() == 4
     assert q.depth() == 3
+
+
+def test_twig_helpers_leave_no_reference_cycles():
+    """Each operation's garbage is freed by reference counting alone.
+
+    A recursive inner function closes over itself, so whatever it refers
+    to (a query, a clone map, a memo) lives on in a reference cycle until
+    the cyclic collector runs.  With the collector off, dropping each
+    result must leave nothing for ``gc.collect()`` to find.
+    """
+    import gc
+
+    from repro.serving.wire import decode_twig_query, encode_twig_query
+    from repro.twig.generator import canonical_query_for_node
+    from repro.twig.normalize import bool_embeds_at, minimize
+    from repro.twig.product import product
+    from repro.xmltree.parser import parse_xml
+    from repro.xmltree.tree import XTree
+
+    q = parse_twig("//person[phone]/name")
+    doc = XTree(parse_xml(
+        "<site><people><person><name>a</name><phone>1</phone>"
+        "<phone>2</phone></person></people></site>"))
+    target = next(n for n in doc.nodes() if n.label == "name")
+    canonical = canonical_query_for_node(doc, target)
+    encoded = encode_twig_query(q)
+    operations = {
+        "copy": q.copy,
+        "canonical": q.canonical,
+        "minimize": lambda: minimize(q),
+        "bool_embeds_at": lambda: bool_embeds_at(q.root, q.root),
+        "canonical_query_for_node":
+            lambda: canonical_query_for_node(doc, target),
+        # Two phone filters meet one: the product prunes a redundant branch.
+        "product": lambda: product(q, canonical),
+        "encode_twig_query": lambda: encode_twig_query(q),
+        "decode_twig_query": lambda: decode_twig_query(encoded),
+        "to_xpath": q.to_xpath,
+    }
+    for operation in operations.values():
+        operation()  # warm any lazy state outside the measurement
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        leftovers = {}
+        for name, operation in operations.items():
+            result = operation()
+            del result
+            leftovers[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert leftovers == dict.fromkeys(operations, 0)
