@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import Any
 
@@ -222,7 +222,7 @@ class EvaluationBackend:
     # ------------------------------------------------------------------
     # The primitive (subclass responsibility)
     # ------------------------------------------------------------------
-    def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
+    def _stream(self, workload: Workload) -> Iterable[ShardAnswer]:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -238,13 +238,18 @@ class EvaluationBackend:
         return self.run(workload)
 
     def stream(self, workload: Workload) -> Iterator[ShardAnswer]:
-        """Yield per-shard answers as they complete (completion order)."""
+        """Per-shard answers in completion order.
+
+        :class:`LocalBackend` yields each shard as it is evaluated;
+        :class:`RemoteBackend` yields once the whole response has
+        arrived.
+        """
         self._batches += 1
         self._items += len(workload)
         served = self._serve_prefetched(workload)
         if served is not None:
             return iter(served)
-        return self._stream(workload)
+        return iter(self._stream(workload))
 
     # ------------------------------------------------------------------
     # Speculative prefetch
@@ -467,7 +472,8 @@ class RemoteBackend(EvaluationBackend):
     operate on local data and never serialise.
 
     The backend holds **one connection**, :attr:`client`: every session
-    round is one complete request followed by its probes, so no request
+    round is one complete request followed by its probes, and each
+    request reads its whole response before it returns, so no request
     ever starts while another's response is still being read.
 
     Instances are **shipped once per backend**: the
@@ -496,10 +502,14 @@ class RemoteBackend(EvaluationBackend):
     :attr:`~EvaluationBackend.known_digests`, so a server that restarted
     with an empty store is re-shipped the corpus instead of being sent
     refs it cannot resolve (pass ``retry=None`` explicitly for the old
-    fail-fast behaviour).  A connection a failed request left broken is
-    re-dialed in place by the next request, so its counters stay in
-    :meth:`stats`.  A :class:`~repro.serving.resilience.CircuitBreaker`
-    guards every request: after ``failure_threshold`` consecutive failed
+    fail-fast behaviour).  A request that stops before its response's
+    terminal frame (a transport death, a reply that fails to decode, an
+    expired deadline) leaves the connection broken; the next request
+    re-dials it in place, so its counters stay in :meth:`stats`.  A
+    :class:`~repro.serving.resilience.CircuitBreaker` guards every
+    request and counts a request that left the connection broken as
+    failed (a server ``error`` frame leaves it aligned, and counts as
+    a success): after ``failure_threshold`` consecutive failed
     requests, requests fail fast with
     :class:`~repro.errors.ServiceUnavailable` instead of each paying the
     full dial-and-retry cost, and after its cooldown one request probes
@@ -579,11 +589,11 @@ class RemoteBackend(EvaluationBackend):
                 else:
                     self._breaker.record_success()
 
-    def _stream(self, workload: Workload) -> Iterator[ShardAnswer]:
+    def _stream(self, workload: Workload) -> list[ShardAnswer]:
         with self._request() as client:
-            yield from client.stream(workload,
-                                     known_digests=self.known_digests,
-                                     deadline=self._deadline())
+            return client.stream(workload,
+                                 known_digests=self.known_digests,
+                                 deadline=self._deadline())
 
     def warm_instances(self, instances: Sequence[object]) -> dict[str, int]:
         """Ship a corpus to the server's store before the first round."""

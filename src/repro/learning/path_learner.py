@@ -3,8 +3,8 @@
 The graph analogue of the twig learner: positive examples are edge-label
 words of paths the user marked as wanted; the hypothesis class is the
 multiplicity-path-expression fragment
-(:class:`~repro.graphdb.pathquery.PathQuery`).  The least general
-generalisation of two queries is computed by dynamic-programming sequence
+(:class:`~repro.graphdb.pathquery.PathQuery`).  :func:`lgg_path`
+generalises two queries together by dynamic-programming sequence
 alignment:
 
 * aligned atoms merge — label sets union (introducing a disjunction),
@@ -15,10 +15,23 @@ alignment:
   multiplicity symbol, so the hull ``+`` is taken — the fragment's price).
 
 Costs prefer exact matches over disjunctions over skips, so the fold over
-examples stays as specific as the fragment allows — mirroring the twig
-product story, including its failure mode (negatives can force a search
-over alignment alternatives; :func:`check_path_consistency` reports what
-the single best alignment achieves).
+examples stays as specific as its cheapest alignments allow — mirroring
+the twig product story, including its failure mode (negatives can force
+a search over alignment alternatives; :func:`check_path_consistency`
+reports what the single best alignment achieves).
+
+The result generalises both arguments, but despite its name it is not a
+least general generalisation, and it is not monotone in the hypothesis.
+With ``w = highway.train.train.highway.highway.highway``,
+``lgg_path(highway+, w)`` is ``highway?.train*.highway+``, which accepts
+``train.highway.highway.highway``, while the more general
+``highway+.national*.highway?`` widens with ``w`` to
+``highway+.(national|train)*.highway*``, which does not (a least one
+would be monotone).  So a word whose widened query accepts a negative
+can be informative again once a positive answer generalises the
+hypothesis: the path session's ledger re-widens such words, which
+``tests/test_session_ledger.py::test_audit_reaches_settled_candidates``
+pins on the geo graph this example comes from.
 """
 
 from __future__ import annotations
@@ -86,7 +99,13 @@ def normalize(query: PathQuery) -> PathQuery:
 
 
 def lgg_path(p: PathQuery, q: PathQuery) -> PathQuery:
-    """Least general generalisation of two path queries (best alignment)."""
+    """Generalise two path queries together by their cheapest alignment.
+
+    The result generalises both, but it is neither least nor monotone:
+    a more general ``p`` can widen to a query that is not more general
+    (the module docstring names a case), which is why the path session's
+    ledger re-widens settled words after a positive answer.
+    """
     pa, qa = list(p.atoms), list(q.atoms)
     n, m = len(pa), len(qa)
     # dp[i][j] = (cost, move) aligning pa[i:] with qa[j:]

@@ -41,9 +41,10 @@ Architecture
 :class:`~repro.serving.net.WorkloadClient`
     The network front-end: a pickle-free length-prefixed JSON protocol
     (:mod:`repro.serving.wire`) over ``asyncio.start_server``, streaming
-    shard frames as they complete; the blocking client decodes answers
-    onto its *own* instances (twig answers by pre-order position), so a
-    remote run is answer-identical to a local one.
+    shard frames as they complete; the blocking client reads each whole
+    response and decodes its answers onto its *own* instances (twig
+    answers by pre-order position), so a remote run is answer-identical
+    to a local one.
 
 :class:`~repro.serving.instance_cache.InstanceStore`
     The server's content-addressed instance cache: decoded documents and

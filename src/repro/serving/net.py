@@ -22,12 +22,13 @@ frame carrying the server engine's live cache/index statistics
 instance-cache counters, and the shard-admission state — the
 observability endpoint a remote learner polls through
 :meth:`WorkloadClient.stats` (and, when ``stats_port`` is set, a plain
-``GET /stats`` HTTP endpoint serves the same JSON to scrapers).  Because
-shard frames go out the moment the
+``GET /stats`` HTTP endpoint serves the same JSON to scrapers).  The
+server writes each shard frame as soon as the
 :class:`~repro.serving.async_evaluator.AsyncBatchEvaluator` stream
-yields them, a client sees its first answers while the server is still
-evaluating the rest of the batch — the network mirror of the in-process
-streaming contract.
+yields it; the client reads the whole response, up to its ``done`` or
+``error`` frame, before it returns any answer.  Every session round is
+one complete request, so a replay after a transport failure re-asks the
+whole request.
 
 Instances are content-addressed across the whole tier
 (:class:`~repro.serving.instance_cache.InstanceStore`): every decoded
@@ -56,13 +57,13 @@ import asyncio
 import json
 import socket
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.errors import DeadlineExceeded
 from repro.serving import timeouts
 from repro.serving.async_evaluator import AsyncBatchEvaluator
 from repro.serving.instance_cache import InstanceStore
-from repro.serving.resilience import Deadline, RetryPolicy, RetryState
+from repro.serving.resilience import Deadline, RetryPolicy
 from repro.serving.wire import (
     NeedInstances,
     ProtocolError,
@@ -671,7 +672,8 @@ class WorkloadClient:
     """The small blocking client of the workload protocol.
 
     One instance is one TCP connection (reusable across any number of
-    requests, context-managed).  Answers decode against the *original*
+    requests, context-managed), and every request reads its whole
+    response before it returns.  Answers decode against the *original*
     workload objects the caller passed in — twig answers come back as the
     caller's own node objects in document order, so a remote ``run`` is
     answer-identical to a local ``BatchEvaluator.run`` on the same
@@ -682,30 +684,33 @@ class WorkloadClient:
     :meth:`stats` asks the server for its live engine statistics (cache
     hit rates, index builds) over the ``stats`` frame.
 
-    Failure behaviour: a server-reported ``error`` frame leaves the
-    connection aligned and reusable, but a *framing* failure (truncated
-    frame, unexpected frame kind, socket error) makes the byte stream
-    unrecoverable — the client then marks itself broken, further
+    Failure behaviour: the connection counts as broken from a request's
+    send until its terminal frame arrives.  A server-reported ``error``
+    frame is terminal, so it leaves the connection aligned and reusable.
+    Any other early exit — a framing failure (truncated frame,
+    unexpected frame kind, socket error), a reply that fails to decode,
+    an expired deadline, an interrupt — leaves it broken: further
     requests raise :class:`~repro.serving.wire.ProtocolError`
-    immediately instead of hanging on a desynced drain, and
-    :meth:`close` stays safe and idempotent throughout.
+    immediately instead of reading leftover frames, and :meth:`close`
+    stays safe and idempotent throughout.
 
     Passing ``retry=RetryPolicy(...)`` makes the client *self-healing*
-    instead: a transport failure (connection killed, truncated frame,
-    socket timeout) is answered by a bounded-backoff **reconnect**, and
-    an interrupted ``stream()`` transparently **replays** its workload
+    instead: every request runs under
+    :meth:`~repro.serving.resilience.RetryPolicy.call`, and each attempt
+    first re-dials a connection left broken.  A transport failure
+    (connection killed, truncated frame, socket timeout) thus costs a
+    bounded-backoff **reconnect** and a **replay** of the whole request
     on the fresh connection — refs-only, with the ``need_instances``
-    negotiation re-shipping the corpus if the server restarted empty —
-    while already-delivered item positions are filtered from the
-    replayed answers, so the caller still sees every position exactly
-    once.  ``on_reconnect`` (if given) fires after each successful
-    re-dial, before any replay — the hook
+    negotiation re-shipping the corpus if the server restarted empty.
+    Nothing reaches the caller before a response is complete, so every
+    position is answered exactly once.  ``on_reconnect`` (if given)
+    fires after each successful re-dial, before any replay — the hook
     :class:`~repro.learning.backend.RemoteBackend` uses to invalidate
     its digest bookkeeping.  Non-transport failures (server
     ``error`` frames, protocol desyncs, expired deadlines) are never
     retried.  The counters: :attr:`retries` (recovery attempts after a
     backoff), :attr:`reconnects` (successful re-dials), :attr:`replays`
-    (workloads re-sent mid-stream).
+    (workloads re-sent after an earlier send of them succeeded).
 
     A per-request ``deadline`` (:class:`~repro.serving.resilience.Deadline`)
     caps every blocking socket operation at ``min(remaining, timeout)``,
@@ -728,18 +733,12 @@ class WorkloadClient:
         self.retries = 0
         #: Successful re-dials after a broken connection.
         self.reconnects = 0
-        #: Workloads re-sent on a fresh connection mid-stream.
+        #: Workloads re-sent after an earlier send of them succeeded.
         self.replays = 0
         self._sock: socket.socket | None = None
-        # Unread response frames of an abandoned stream() — drained before
-        # the next request so connection reuse can never desync.
-        self._pending_response = False
-        # Set on framing-level failures: the connection cannot realign.
+        # Set from a request's send until its terminal frame arrives: a
+        # request that stopped early left unread frames on the socket.
         self._broken = False
-        # Bumped once per request sent; a stream() iterator holds the
-        # epoch of its own request and refuses to read frames once a
-        # later request has superseded it on this connection.
-        self._request_epoch = 0
         #: Requests sent on this connection (workloads and stats probes).
         self.requests = 0
         #: Bytes written to / read from the socket, frame prefixes included.
@@ -775,7 +774,6 @@ class WorkloadClient:
             except OSError:
                 pass
         self._connect()
-        self._pending_response = False
         self._broken = False
         self.reconnects += 1
         if self._on_reconnect is not None:
@@ -784,7 +782,6 @@ class WorkloadClient:
     def close(self) -> None:
         """Close the connection.  Idempotent; safe after any error."""
         sock, self._sock = self._sock, None
-        self._pending_response = False
         if sock is not None:
             try:
                 sock.close()
@@ -802,41 +799,30 @@ class WorkloadClient:
         self.close()
 
     # ------------------------------------------------------------------
-    def _require_usable(self) -> None:
-        if self._sock is None:
-            raise RuntimeError("client is closed")
-        if self._broken:
-            raise ProtocolError(
-                "connection is unrecoverable after a protocol error; "
-                "open a new WorkloadClient")
-
     def _send(self, payload: object) -> None:
-        try:
-            self.bytes_sent += send_frame_blocking(self._sock, payload)
-        except OSError:
-            self._broken = True
-            raise
+        # The connection stays broken until the response's terminal
+        # frame is read.
+        self._broken = True
+        self.bytes_sent += send_frame_blocking(self._sock, payload)
 
-    def _recv(self) -> object | None:
-        """One counted frame; framing/socket failures break the client."""
+    def _recv(self, deadline: "Deadline | None" = None) -> object:
+        """One counted frame, read within ``deadline`` if one is given."""
+        self._apply_io_timeout(deadline)
         try:
             frame, n = recv_frame_counted(self._sock)
-        except (ProtocolError, OSError):
-            self._broken = True
+        except OSError as exc:
+            if deadline is not None and deadline.expired:
+                # The tightened socket timeout fired *because* the
+                # budget ran out: surface the deadline, not the socket
+                # plumbing underneath it.
+                raise DeadlineExceeded(
+                    "request deadline expired while awaiting the "
+                    "response") from exc
             raise
+        if frame is None:
+            raise TransportError("server closed mid-response")
         self.bytes_received += n
         return frame
-
-    def _unrecoverable(self, message: str) -> ProtocolError:
-        self._broken = True
-        return ProtocolError(message)
-
-    def _dead_transport(self, message: str) -> TransportError:
-        """Like :meth:`_unrecoverable`, but the *byte stream* died (the
-        peer vanished) rather than the protocol desyncing — retryable
-        with a reconnect when a policy is configured."""
-        self._broken = True
-        return TransportError(message)
 
     @staticmethod
     def _server_error(frame: dict) -> Exception:
@@ -867,67 +853,44 @@ class WorkloadClient:
         self._sock.settimeout(deadline.io_timeout(self._timeout))
 
     # ------------------------------------------------------------------
-    def _drain_pending_response(self) -> None:
-        """Discard leftover frames of an abandoned earlier ``stream()``.
+    def _call(self, attempt, deadline: "Deadline | None" = None):
+        """Run one request: ``attempt`` once, or under the retry policy.
 
-        Every response ends in a ``done`` or ``error`` frame, so reading
-        up to the terminator realigns the connection; the discarded
-        answers were for a request the caller walked away from.  The
-        abandoned iterator is invalidated (epoch bump) so resuming it
-        raises instead of stealing the new request's frames.
+        Under a policy each attempt first re-dials a broken connection,
+        so a failed dial uses up the budget like any other failure.
         """
-        if self._pending_response:
-            self._request_epoch += 1
-        while self._pending_response:
-            frame = self._recv()
-            if frame is None:
-                raise self._dead_transport("server closed mid-response")
-            kind = frame.get("type") if isinstance(frame, dict) else None
-            if kind in ("done", "error"):
-                self._pending_response = False
-            elif kind == "need_instances":
-                # The abandoned request died mid-negotiation; an empty
-                # put makes the server fail that request with an error
-                # frame (read next), realigning the connection.
-                self._send({"type": "put_instances", "instances": []})
-            elif kind != "shard":
-                raise self._unrecoverable(f"unexpected frame {frame!r}")
+        if self._sock is None:
+            raise RuntimeError("client is closed")
+        if self._retry is None and self._broken:
+            raise ProtocolError(
+                "connection is unrecoverable after a protocol error; "
+                "open a new WorkloadClient")
 
-    # ------------------------------------------------------------------
-    def _retrying(self, fn, state: RetryState,
-                  deadline: "Deadline | None" = None):
-        """Run ``fn`` under an in-progress retry budget, healing first.
+        def healed():
+            if self._broken:
+                self._reconnect()
+            return attempt()
 
-        A broken transport is re-dialed *before* each attempt (the dial
-        itself consumes budget on failure); ``state.backoff`` re-raises
-        anything non-retryable or past the attempt budget, so this loop
-        always terminates.
-        """
-        while True:
-            if self._broken and self._sock is not None:
-                try:
-                    self._reconnect()
-                except Exception as exc:  # noqa: BLE001 - reclassified
-                    state.backoff(exc, deadline=deadline)
-                    self.retries += 1
-                    continue
-            try:
-                return fn()
-            except Exception as exc:  # noqa: BLE001 - reclassified
-                state.backoff(exc, deadline=deadline)
-                self.retries += 1
-
-    def _with_retry(self, fn, *, deadline: "Deadline | None" = None):
-        """One public request under this client's policy (if any)."""
-        if self._retry is None:
-            return fn()
-        return self._retrying(fn, self._retry.start(), deadline)
+        try:
+            if self._retry is None:
+                return attempt()
+            return self._retry.call(healed, deadline=deadline,
+                                    on_retry=self._count_retry)
+        finally:
+            if deadline is not None and not self._broken:
+                # Deadlines tighten the socket timeout per operation;
+                # leave the connection at its static default for the
+                # next (deadline-less) request.
+                self._sock.settimeout(self._timeout)
 
     def stream(self, workload: Workload, *,
                known_digests: set[str] | None = None,
                deadline: "Deadline | None" = None,
-               ) -> Iterator[ShardAnswer]:
-        """Send one workload; yield decoded shard answers as frames land.
+               ) -> list[ShardAnswer]:
+        """Send one workload and read its whole response.
+
+        Returns the decoded shard answers in the order their frames
+        arrived; :meth:`run` merges them by position.
 
         ``known_digests`` is the caller's registry of instance digests
         the server is believed to hold: matching instances ship as refs,
@@ -940,43 +903,28 @@ class WorkloadClient:
         The final ``done`` frame's shard count is cross-checked against
         the frames actually seen; an ``error`` frame raises
         :class:`~repro.serving.wire.ProtocolError` with the server's
-        message.  Abandoning the iterator mid-stream is safe: the next
-        request on this connection first drains the rest of the old
-        response — and the abandoned iterator then raises
-        :class:`~repro.serving.wire.ProtocolError` if resumed, rather
-        than stealing the new request's frames.
-
-        The request frame is sent **eagerly**, before this method
-        returns — not on first iteration of the result.  Creating a
-        stream therefore pins its position in the request order:
-        interleaving ``stats()``/``put_instances()`` calls between
-        ``stream(...)`` and its first ``next()`` cannot reorder requests
-        or skew the :attr:`requests`/:attr:`instances_shipped` counters.
-
-        With a retry policy configured, a transport death mid-stream is
-        healed transparently: reconnect, **replay** the workload on the
-        fresh connection (refs-only; ``need_instances`` re-ships the
-        corpus if the server restarted empty), and filter out item
-        positions already delivered — the caller still sees every
-        position exactly once, in shard-completion order.
+        message.  With a retry policy configured, a transport death
+        mid-response is healed transparently: reconnect and **replay**
+        the whole workload on the fresh connection (refs-only;
+        ``need_instances`` re-ships the corpus if the server restarted
+        empty).
         """
-        self._require_usable()
-        if self._retry is None:
+        sent = False
+
+        def attempt() -> list[ShardAnswer]:
+            nonlocal sent
             codec = self._send_workload(workload, known_digests, deadline)
-            return self._stream_frames(codec, workload,
-                                       self._request_epoch, deadline)
-        state = self._retry.start()
-        codec = self._retrying(
-            lambda: self._send_workload(workload, known_digests, deadline),
-            state, deadline)
-        return self._resilient_frames(codec, workload, known_digests,
-                                      deadline, state)
+            if sent:
+                self.replays += 1
+            sent = True
+            return self._stream_frames(codec, workload, deadline)
+
+        return self._call(attempt, deadline)
 
     def _send_workload(self, workload: Workload,
                        known_digests: set[str] | None,
                        deadline: "Deadline | None") -> WorkloadCodec:
-        """Encode and eagerly send one workload frame; returns its codec."""
-        self._drain_pending_response()
+        """Encode and send one workload frame; returns its codec."""
         codec = WorkloadCodec()
         payload = codec.encode_workload(workload,
                                         known_digests=known_digests)
@@ -987,8 +935,6 @@ class WorkloadClient:
             payload["deadline_ms"] = deadline.ms()
         self._send(payload)
         self.requests += 1
-        self._request_epoch += 1
-        self._pending_response = True
         self.instances_shipped += len(codec.shipped_digests)
         self.deltas_shipped += len(codec.delta_digests)
         self.bytes_saved += codec.bytes_saved
@@ -996,123 +942,48 @@ class WorkloadClient:
             known_digests.update(codec.shipped_digests)
             # Applied deltas leave the server holding the *new* digest;
             # a failed apply comes back as need_instances and re-ships
-            # the full record mid-stream, so the entry stays truthful.
+            # the full record mid-response, so the entry stays truthful.
             known_digests.update(codec.delta_digests)
         return codec
 
     def _stream_frames(self, codec: WorkloadCodec, workload: Workload,
-                       epoch: int, deadline: "Deadline | None" = None,
-                       ) -> Iterator[ShardAnswer]:
-        """The response-reading half of :meth:`stream` (lazy by nature)."""
-        seen = 0
-        try:
-            while True:
-                if self._request_epoch != epoch:
-                    # A later request was sent on this connection; its
-                    # drain consumed the rest of our response.  The
-                    # connection itself is fine — only this iterator is
-                    # dead.
-                    raise ProtocolError(
-                        "stream superseded by a later request on this "
-                        "connection")
-                self._apply_io_timeout(deadline)
-                try:
-                    frame = self._recv()
-                except OSError as exc:
-                    if deadline is not None and deadline.expired:
-                        # The tightened socket timeout fired *because*
-                        # the budget ran out: surface the deadline, not
-                        # the socket plumbing underneath it.
-                        raise DeadlineExceeded(
-                            "request deadline expired while awaiting "
-                            "response frames") from exc
-                    raise
-                if frame is None:
-                    raise self._dead_transport("server closed mid-response")
-                kind = frame.get("type") if isinstance(frame, dict) else None
-                if kind == "shard":
-                    seen += 1
-                    yield codec.decode_shard_answer(workload, frame)
-                elif kind == "need_instances":
-                    # The server evicted digests we sent as refs; re-ship
-                    # those full records and keep reading — answers follow.
-                    digests = frame.get("digests", ())
-                    try:
-                        payload = codec.encode_put_instances(digests)
-                    except ProtocolError as exc:
-                        # A digest this request never encoded: peer bug.
-                        # The server is left awaiting a put we cannot
-                        # produce, so the connection cannot realign —
-                        # fail fast instead of letting the next request
-                        # hang on the drain.
-                        raise self._unrecoverable(
-                            f"server requested unknown digests: "
-                            f"{exc}") from exc
-                    self._send(payload)
-                    self.instances_shipped += len(digests)
-                    self.bytes_saved -= sum(
-                        instance_fingerprint(codec.instance_for(d))[1]
-                        for d in digests)
-                elif kind == "done":
-                    self._pending_response = False
-                    if frame.get("n_shards") != seen:
-                        raise self._unrecoverable(
-                            f"server announced {frame.get('n_shards')} "
-                            f"shards but sent {seen}")
-                    return
-                elif kind == "error":
-                    self._pending_response = False
-                    raise self._server_error(frame)
-                else:
-                    raise self._unrecoverable(f"unexpected frame {frame!r}")
-        finally:
-            if deadline is not None and self._sock is not None \
-                    and not self._broken:
-                # Deadlines tighten the socket timeout per-operation;
-                # leave the connection at its static default for the
-                # next (deadline-less) request.
-                self._sock.settimeout(self._timeout)
-
-    def _resilient_frames(self, codec: WorkloadCodec, workload: Workload,
-                          known_digests: set[str] | None,
-                          deadline: "Deadline | None", state: RetryState,
-                          ) -> Iterator[ShardAnswer]:
-        """The replaying response reader behind a retry-enabled stream.
-
-        Safe because evaluation is pure and instances are content-
-        addressed: re-sending the workload re-evaluates identically, and
-        ``delivered`` keeps the exactly-once answer contract — replayed
-        shard answers are filtered down to positions the caller has not
-        seen yet (a replayed shard with nothing new is dropped whole).
-        """
-        delivered: set[int] = set()
-        epoch = self._request_epoch
+                       deadline: "Deadline | None") -> list[ShardAnswer]:
+        """Read one workload's response, up to its terminal frame."""
+        answers: list[ShardAnswer] = []
         while True:
-            try:
-                for shard_answer in self._stream_frames(
-                        codec, workload, epoch, deadline):
-                    fresh_positions: list[int] = []
-                    fresh_answers: list[object] = []
-                    for position, answer in shard_answer:
-                        if position in delivered:
-                            continue
-                        delivered.add(position)
-                        fresh_positions.append(position)
-                        fresh_answers.append(answer)
-                    if fresh_positions:
-                        yield ShardAnswer(shard_answer.shard,
-                                          tuple(fresh_positions),
-                                          tuple(fresh_answers))
-                return
-            except Exception as exc:  # noqa: BLE001 - reclassified
-                state.backoff(exc, deadline=deadline)
-                self.retries += 1
-            codec = self._retrying(
-                lambda: self._send_workload(workload, known_digests,
-                                            deadline),
-                state, deadline)
-            epoch = self._request_epoch
-            self.replays += 1
+            frame = self._recv(deadline)
+            kind = frame.get("type") if isinstance(frame, dict) else None
+            if kind == "shard":
+                answers.append(codec.decode_shard_answer(workload, frame))
+            elif kind == "need_instances":
+                # The server evicted digests we sent as refs; re-ship
+                # those full records and keep reading — answers follow.
+                digests = frame.get("digests", ())
+                try:
+                    payload = codec.encode_put_instances(digests)
+                except ProtocolError as exc:
+                    # A digest this request never encoded: peer bug.  The
+                    # server is left awaiting a put we cannot produce.
+                    raise ProtocolError(
+                        f"server requested unknown digests: "
+                        f"{exc}") from exc
+                self._send(payload)
+                self.instances_shipped += len(digests)
+                self.bytes_saved -= sum(
+                    instance_fingerprint(codec.instance_for(d))[1]
+                    for d in digests)
+            elif kind == "done":
+                if frame.get("n_shards") != len(answers):
+                    raise ProtocolError(
+                        f"server announced {frame.get('n_shards')} "
+                        f"shards but sent {len(answers)}")
+                self._broken = False
+                return answers
+            elif kind == "error":
+                self._broken = False
+                raise self._server_error(frame)
+            else:
+                raise ProtocolError(f"unexpected frame {frame!r}")
 
     def put_instances(self, instances: Sequence[object], *,
                       known_digests: set[str] | None = None) -> list[str]:
@@ -1124,33 +995,14 @@ class WorkloadClient:
         Idempotent (the store is content-addressed), so a retry policy
         replays it wholesale after a transport failure.
         """
-        self._require_usable()
-        return self._with_retry(
-            lambda: self._put_instances_once(instances,
-                                             known_digests=known_digests))
-
-    def _put_instances_once(self, instances: Sequence[object], *,
-                            known_digests: set[str] | None = None,
-                            ) -> list[str]:
-        self._drain_pending_response()
         codec = WorkloadCodec()
         digests: list[str] = []
         for instance in instances:
             digest = codec.register_instance(instance)
             if digest not in digests:
                 digests.append(digest)
-        payload = codec.encode_put_instances(digests)
-        self._send(payload)
-        self.requests += 1
-        self.instances_shipped += len(digests)
-        frame = self._recv()
-        if frame is None:
-            raise self._dead_transport("server closed mid-response")
-        kind = frame.get("type") if isinstance(frame, dict) else None
-        if kind == "error":
-            raise self._server_error(frame)
-        if kind != "ok":
-            raise self._unrecoverable(f"unexpected frame {frame!r}")
+        self._request_reply(codec.encode_put_instances(digests),
+                            expect="ok")
         if known_digests is not None:
             known_digests.update(digests)
         return digests
@@ -1164,49 +1016,31 @@ class WorkloadClient:
         """
         return self._request_reply({"type": "stats"}, expect="stats")
 
-    def _request_reply(self, payload: dict, *, expect: str,
-                       deadline: "Deadline | None" = None) -> dict:
+    def _request_reply(self, payload: dict, *, expect: str) -> dict:
         """One request frame, one reply frame of kind ``expect``.
 
-        Shared by the non-streaming requests (``stats`` and ``ping``),
-        retried under the client's policy when one is configured.  A
-        server ``error`` frame raises
+        Shared by the single-reply requests (``put_instances``, ``stats``
+        and ``ping``), retried under the client's policy when one is
+        configured.  A server ``error`` frame raises
         :class:`~repro.serving.wire.RemoteError` but leaves the
         connection aligned; any other unexpected frame breaks it.
         """
-        self._require_usable()
-        return self._with_retry(
-            lambda: self._request_reply_once(payload, expect=expect,
-                                             deadline=deadline),
-            deadline=deadline)
 
-    def _request_reply_once(self, payload: dict, *, expect: str,
-                            deadline: "Deadline | None" = None) -> dict:
-        self._drain_pending_response()
-        self._apply_io_timeout(deadline)
-        try:
+        def attempt() -> dict:
             self._send(payload)
             self.requests += 1
-            try:
-                frame = self._recv()
-            except OSError as exc:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceeded(
-                        "request deadline expired while awaiting "
-                        "reply") from exc
-                raise
-        finally:
-            if deadline is not None and self._sock is not None \
-                    and not self._broken:
-                self._sock.settimeout(self._timeout)
-        if frame is None:
-            raise self._dead_transport("server closed mid-response")
-        kind = frame.get("type") if isinstance(frame, dict) else None
-        if kind == expect:
+            # Only a put_instances frame carries (full) records.
+            self.instances_shipped += len(payload.get("instances", ()))
+            frame = self._recv()
+            kind = frame.get("type") if isinstance(frame, dict) else None
+            if kind not in (expect, "error"):
+                raise ProtocolError(f"unexpected frame {frame!r}")
+            self._broken = False
+            if kind == "error":
+                raise self._server_error(frame)
             return {k: v for k, v in frame.items() if k != "type"}
-        if kind == "error":
-            raise self._server_error(frame)
-        raise self._unrecoverable(f"unexpected frame {frame!r}")
+
+        return self._call(attempt)
 
     def ping(self) -> dict:
         """Liveness probe (an empty reply)."""

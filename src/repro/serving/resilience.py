@@ -52,7 +52,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "RetryPolicy",
-    "RetryState",
     "ServiceUnavailable",
     "default_retryable",
 ]
@@ -140,9 +139,9 @@ class RetryPolicy:
     ``max_attempts`` counts *attempts*, not retries: the default 3 means
     one try plus at most two recoveries.  Delays between attempts are
     ``base_delay * multiplier**k`` capped at ``max_delay``, each scaled
-    by a jitter factor drawn from ``random.Random(seed)`` — two states
-    built from equal policies sleep identically, which is what makes
-    chaos runs reproducible.  ``retryable`` may be overridden per policy
+    by a jitter factor drawn from ``random.Random(seed)`` — two calls
+    under equal policies sleep identically, which is what makes chaos
+    runs reproducible.  ``retryable`` may be overridden per policy
     (defaults to :func:`default_retryable`).
     """
 
@@ -179,25 +178,38 @@ class RetryPolicy:
             yield min(delay, self.max_delay) * scale
             delay *= self.multiplier
 
-    def start(self) -> "RetryState":
-        """A fresh per-request budget over this policy."""
-        return RetryState(self)
-
     def call(self, fn: Callable[[], Any], *,
              deadline: Deadline | None = None,
              on_retry: Callable[[BaseException], None] | None = None) -> Any:
         """Run ``fn`` under this policy; the retry loop in one place.
 
+        A failure that is not retryable, or that leaves no attempt in
+        the budget, is re-raised.  One that the deadline leaves no room
+        to back off from raises
+        :class:`~repro.errors.DeadlineExceeded`, chained to it.
         ``on_retry`` fires once per recovery (after the backoff sleep),
         with the exception being recovered from — the hook counters and
         reconnects hang off.
         """
-        state = self.start()
+        delays = self.delays()
+        attempts = 1
         while True:
             try:
                 return fn()
             except Exception as exc:  # noqa: BLE001 - reclassified below
-                state.backoff(exc, deadline=deadline)
+                delay = next(delays, None)
+                if not self.retryable(exc) or delay is None:
+                    raise
+                if deadline is not None:
+                    if deadline.remaining() <= delay:
+                        raise DeadlineExceeded(
+                            f"deadline exceeded after {attempts} "
+                            f"attempt(s): {exc}") from exc
+                    # A sleep never eats the whole remaining budget.
+                    delay = min(delay, deadline.remaining() / 2.0)
+                if delay > 0:
+                    time.sleep(delay)
+                attempts += 1
                 if on_retry is not None:
                     on_retry(exc)
 
@@ -205,44 +217,6 @@ class RetryPolicy:
         return (f"<RetryPolicy attempts={self.max_attempts} "
                 f"base={self.base_delay}s x{self.multiplier} "
                 f"cap={self.max_delay}s seed={self.seed}>")
-
-
-class RetryState:
-    """One request's consumable retry budget (attempts + delay schedule)."""
-
-    __slots__ = ("policy", "attempts", "_delays")
-
-    def __init__(self, policy: RetryPolicy) -> None:
-        self.policy = policy
-        #: Attempts made so far (the in-progress one included).
-        self.attempts = 1
-        self._delays = policy.delays()
-
-    def backoff(self, exc: BaseException, *,
-                deadline: Deadline | None = None) -> None:
-        """Sleep before the next attempt, or decide there is none.
-
-        Re-raises ``exc`` when it is not retryable or the attempt budget
-        is spent; raises :class:`~repro.errors.DeadlineExceeded` (chained
-        to ``exc``) when the deadline leaves no room to retry.  On
-        return, the caller owns one more attempt.
-        """
-        if not self.policy.retryable(exc):
-            raise exc
-        try:
-            delay = next(self._delays)
-        except StopIteration:
-            raise exc from None
-        if deadline is not None:
-            if deadline.remaining() <= delay:
-                raise DeadlineExceeded(
-                    f"deadline exceeded after {self.attempts} attempt(s): "
-                    f"{exc}") from exc
-            # A sleep never eats the whole remaining budget.
-            delay = min(delay, deadline.remaining() / 2.0)
-        if delay > 0:
-            time.sleep(delay)
-        self.attempts += 1
 
 
 class CircuitBreaker:

@@ -6,6 +6,8 @@ same order — to a local serial :class:`BatchEvaluator` run.
 from __future__ import annotations
 
 import socket
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,13 @@ from repro.engine import Engine
 from repro.graphdb.graph import Graph
 from repro.graphdb.pathquery import PathQuery
 from repro.graphdb.regex import parse_regex
+from repro.learning.backend import RemoteBackend
 from repro.serving import (
     AsyncBatchEvaluator,
     BatchEvaluator,
+    CircuitBreaker,
     ProtocolError,
+    RetryPolicy,
     ServerThread,
     Workload,
     WorkloadClient,
@@ -321,26 +326,6 @@ def test_client_surfaces_server_error_as_protocol_error(tcp_server):
             list(client.stream(workload))
 
 
-def test_abandoned_stream_does_not_desync_connection_reuse(tcp_server):
-    """Grabbing only the first shard (the streamed-latency pattern) and
-    walking away must leave the connection usable: the next request
-    drains the old response instead of decoding its leftovers."""
-    workload = _full_workload()
-    local = BatchEvaluator(engine=Engine()).run(workload)
-    with WorkloadClient(*tcp_server.address) as client:
-        stream = client.stream(workload)
-        first = next(stream)  # abandon the rest mid-response
-        assert len(first.indices) >= 1
-        # A *differently shaped* follow-up on the same connection.
-        small = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
-        follow_up = client.run(small)
-        assert len(follow_up) == 1 and len(follow_up[0]) == 1
-        # And a same-shaped one still gets the right answers.
-        again = client.run(workload)
-        assert identical_answers(again.answers[:3], local.answers[:3])
-        assert list(again.answers[3:]) == list(local.answers[3:])
-
-
 def test_closed_client_refuses_requests(tcp_server):
     client = WorkloadClient(*tcp_server.address)
     client.close()
@@ -421,36 +406,102 @@ def test_client_survives_server_error_frames(tcp_server):
         assert "engine" in client.stats()
 
 
-def test_client_marks_framing_failure_unrecoverable():
-    # A server that sends garbage instead of protocol frames.
-    bad = socket.socket()
-    bad.bind(("127.0.0.1", 0))
-    bad.listen(1)
+# A twig shard answering a position past the end of ``<a><b/></a>``.
+_OUT_OF_RANGE_SHARD = {"type": "shard", "shard": 0, "indices": [0],
+                       "answers": [[99]]}
+_DONE = {"type": "done", "n_shards": 1}
 
-    import threading
 
-    def serve_garbage():
-        conn, _ = bad.accept()
-        conn.recv(65536)
-        conn.sendall(encode_frame(["what", "even", "is", "this"]))
-        conn.close()
+@contextmanager
+def _scripted_server(replies):
+    """A raw server that takes one connection per scripted reply: it
+    reads one request frame, sends the reply's frames and hangs up."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
 
-    thread = threading.Thread(target=serve_garbage, daemon=True)
+    def serve():
+        for reply in replies:
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame_blocking(conn)
+                conn.sendall(b"".join(encode_frame(f) for f in reply))
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    client = WorkloadClient(*bad.getsockname())
+    try:
+        yield listener.getsockname()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+
+
+def test_client_marks_framing_failure_unrecoverable():
     workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
-    with pytest.raises(ProtocolError, match="unexpected frame"):
-        list(client.stream(workload))
-    # The byte stream cannot realign: further requests fail fast...
-    with pytest.raises(ProtocolError, match="unrecoverable"):
-        list(client.stream(workload))
-    with pytest.raises(ProtocolError, match="unrecoverable"):
-        client.stats()
-    # ...and close() stays safe and idempotent after the failure.
+    broken_replies = [
+        ([["what", "even", "is", "this"]], "unexpected frame"),
+        # The shard fails to decode; the ``done`` behind it must never
+        # be read as the answer to a later request.
+        ([_OUT_OF_RANGE_SHARD, _DONE], "out of range"),
+    ]
+    for reply, error in broken_replies:
+        with _scripted_server([reply]) as address:
+            client = WorkloadClient(*address)
+            with pytest.raises(ProtocolError, match=error):
+                list(client.stream(workload))
+            traffic = (client.requests, client.bytes_received)
+            # The byte stream cannot realign: further requests fail
+            # fast, reading nothing...
+            with pytest.raises(ProtocolError, match="unrecoverable"):
+                list(client.stream(workload))
+            with pytest.raises(ProtocolError, match="unrecoverable"):
+                client.stats()
+            assert (client.requests, client.bytes_received) == traffic
+            # ...and close() stays safe and idempotent after the failure.
+            client.close()
+            client.close()
+
+
+def test_malformed_reply_breaks_the_backend_connection():
+    """A reply that fails to decode leaves ``RemoteBackend``'s connection
+    broken: the breaker counts the request as failed, and the next
+    request re-dials once and answers like the local run instead of
+    reading the rest of the malformed response."""
+    workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
+    local = BatchEvaluator(engine=Engine()).run(workload)
+    valid_shard = {**_OUT_OF_RANGE_SHARD, "answers": [[1]]}
+    with _scripted_server([[_OUT_OF_RANGE_SHARD, _DONE],
+                           [valid_shard, _DONE]]) as address:
+        breaker = CircuitBreaker()
+        with RemoteBackend(*address, breaker=breaker) as backend:
+            with pytest.raises(ProtocolError, match="out of range"):
+                backend.evaluate_batch(workload)
+            assert breaker.stats()["consecutive_failures"] == 1
+            result = backend.evaluate_batch(workload)
+            assert backend.client.reconnects == 1
+            assert identical_answers(result.answers, local.answers)
+            assert breaker.stats()["consecutive_failures"] == 0
+
+
+def test_failed_redial_is_retried_then_surfaces_crisply():
+    """A re-dial that fails uses up retry budget like any other attempt:
+    with nothing listening any more, each later attempt dials again, and
+    the request ends in the dial's own error once the budget is spent."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    client = WorkloadClient(*listener.getsockname(), timeout=5.0,
+                            retry=RetryPolicy(max_attempts=3,
+                                              base_delay=0.01))
+    conn, _ = listener.accept()
+    listener.close()  # every re-dial is refused from here on
+    conn.close()  # and the first request's connection dies
+    workload = Workload.twig(parse_twig("//b"), [xml("<a><b/></a>")])
+    with pytest.raises(OSError):
+        client.run(workload)
+    assert (client.retries, client.reconnects) == (2, 0)
     client.close()
-    client.close()
-    thread.join()
-    bad.close()
 
 
 def test_server_thread_close_is_idempotent():
@@ -834,22 +885,6 @@ def test_stream_sends_eagerly_before_first_iteration(tcp_server):
         assert list(stream)  # and the response still streams fine
 
 
-def test_superseded_stream_iterator_raises_without_breaking_connection(
-        tcp_server):
-    docs = [xml("<a><b/></a>"), xml("<a><b/><b/></a>")]
-    workload = Workload.twig(parse_twig("//b"), docs)
-    with WorkloadClient(*tcp_server.address) as client:
-        abandoned = client.stream(workload)
-        next(abandoned)  # mid-response
-        stats = client.stats()  # drains the rest of the old response
-        assert "engine" in stats
-        with pytest.raises(ProtocolError, match="superseded"):
-            next(abandoned)
-        # Only the stale iterator died — the connection is aligned.
-        local = BatchEvaluator(engine=Engine()).run(workload)
-        assert identical_answers(client.run(workload).answers, local.answers)
-
-
 def test_put_instances_requires_keyword_known_digests(tcp_server):
     docs = [xml("<a><b/></a>")]
     with WorkloadClient(*tcp_server.address) as client:
@@ -930,14 +965,17 @@ def test_shard_gate_cancelled_waiter_returns_its_slot():
 
 class _SleepyEvaluator(BatchEvaluator):
     """Shard evaluator whose every shard costs a fixed latency — makes
-    admission-order effects observable without loading the CPU."""
+    admission-order effects observable without loading the CPU.
+    :attr:`evaluating` is set once the first shard starts."""
 
     def __init__(self, delay: float) -> None:
         super().__init__()
         self.delay = delay
+        self.evaluating = threading.Event()
 
     def _eval_shard(self, shard, twig_keys, positions_native=False):
         import time
+        self.evaluating.set()
         time.sleep(self.delay)
         return super()._eval_shard(shard, twig_keys, positions_native)
 
@@ -996,24 +1034,20 @@ def test_per_connection_quota_keeps_small_sessions_responsive():
     greedy_docs = [xml(f"<a><b/><i>{i}</i></a>") for i in range(10)]
     small_docs = [xml("<a><b/><i>small</i></a>")]
     done: dict[str, float] = {}
-    started = threading.Event()
+    sleepy = _SleepyEvaluator(0.1)
 
-    thread = ServerThread(
-        AsyncBatchEvaluator(evaluator=_SleepyEvaluator(0.1)),
-        max_inflight_shards=2)
+    thread = ServerThread(AsyncBatchEvaluator(evaluator=sleepy),
+                          max_inflight_shards=2)
     with thread as server:
         def greedy():
             with WorkloadClient(*server.address) as client:
-                stream = client.stream(
-                    Workload.twig(parse_twig("//b"), greedy_docs))
-                started.set()
-                for _ in stream:
-                    pass
+                client.run(Workload.twig(parse_twig("//b"), greedy_docs))
                 done["greedy"] = time.monotonic()
 
         runner = threading.Thread(target=greedy)
         runner.start()
-        assert started.wait(timeout=10)
+        # The greedy session is on the server before the small one.
+        assert sleepy.evaluating.wait(timeout=10)
         with WorkloadClient(*server.address) as client:
             client.run(Workload.twig(parse_twig("//b"), small_docs))
             done["small"] = time.monotonic()

@@ -40,6 +40,7 @@ from repro.serving import (
     Workload,
     WorkloadClient,
     WorkloadCodec,
+    WorkloadResult,
     periodic_plan,
     seeded_plan,
 )
@@ -76,6 +77,15 @@ def _answers_match(remote, workload) -> bool:
         if [n.label for n in remote_nodes] != [n.label for n in local_nodes]:
             return False
     return True
+
+
+def _assert_exactly_once(shard_answers, workload) -> None:
+    """One answer per shard, and each item position answered once: a
+    duplicated shard would hide in :meth:`WorkloadResult.assemble`,
+    which overwrites by position."""
+    positions = sorted(p for answer in shard_answers for p in answer.indices)
+    assert positions == list(range(len(workload)))
+    assert len(shard_answers) == len(workload.shards())
 
 
 def _quick_retry(**overrides) -> RetryPolicy:
@@ -160,10 +170,12 @@ def test_retry_call_recovers_then_exhausts():
 
 
 def test_retry_backoff_respects_deadline():
-    state = _quick_retry(base_delay=10.0, max_delay=10.0).start()
+    def down():
+        raise ConnectionResetError("down")
+
     with pytest.raises(DeadlineExceeded) as exc_info:
-        state.backoff(ConnectionResetError("down"),
-                      deadline=Deadline.after(0.05))
+        _quick_retry(base_delay=10.0, max_delay=10.0).call(
+            down, deadline=Deadline.after(0.05))
     assert isinstance(exc_info.value.__cause__, ConnectionResetError)
 
 
@@ -287,7 +299,9 @@ def test_connection_killed_mid_stream_replays_exactly_once():
                         plan={0: KillAfter(frames=2)}) as proxy:
             with WorkloadClient(*proxy.address,
                                 retry=_quick_retry()) as client:
-                result = client.run(workload)
+                shard_answers = client.stream(workload)
+                _assert_exactly_once(shard_answers, workload)
+                result = WorkloadResult.assemble(workload, shard_answers)
                 assert _answers_match(result.answers, workload)
                 assert client.reconnects >= 1
                 assert client.replays >= 1
@@ -337,7 +351,9 @@ def test_truncated_frame_is_crisp_then_healed():
                 as proxy:
             with WorkloadClient(*proxy.address,
                                 retry=_quick_retry()) as client:
-                result = client.run(workload)
+                shard_answers = client.stream(workload)
+                _assert_exactly_once(shard_answers, workload)
+                result = WorkloadResult.assemble(workload, shard_answers)
                 assert _answers_match(result.answers, workload)
                 assert client.replays >= 1
             assert proxy.stats()["truncated"] == 1
