@@ -321,7 +321,12 @@ class Engine:
         return bool(self.document(tree).evaluate_indices(query))
 
     def canonical_query(self, tree: XTree, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node`` in ``tree`` (cached)."""
+        """Most specific twig selecting ``node`` in ``tree``.
+
+        A cached, read-only view of the one pattern the document's index
+        snapshot builds (see :meth:`IndexedDocument.canonical_query`):
+        no copy is made, so callers copy before rewriting it.
+        """
         return self.document(tree).canonical_query(node)
 
     def preorder_nodes(self, tree: XTree) -> list[XNode]:

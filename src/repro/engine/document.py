@@ -18,13 +18,15 @@ boundary):
 * an LRU-bounded query-result cache keyed by the query's canonical form,
   so the repeated evaluations an interactive learner performs against a
   fixed document after every user interaction cost one dict lookup;
-* a canonical-query cache (the learner's per-node "most specific query"),
-  served as defensive copies because learners rewrite patterns in place.
+* the document read as one twig pattern, built once per snapshot from
+  the columns, and a cache of the learner's per-node canonical queries
+  ("most specific query"): read-only views of that one pattern, each
+  selecting its node, served without a copy.
 
 Twig matching is two linear passes of merge/two-pointer loops over these
 arrays (`_bottom_up` / `_top_down`); answers travel internally as sorted
 pre-order position tuples and become :class:`~repro.xmltree.tree.XNode`
-objects only in :meth:`evaluate` / :meth:`canonical_query`.
+objects only in :meth:`evaluate`.
 
 The index snapshot carries the tree's version: ``XTree.invalidate()`` (the
 hook the parent-map cache already required after a mutation) bumps it, and
@@ -122,7 +124,11 @@ class IndexedDocument:
         self._label_positions: dict[str, array[int]] = by_label
         self._all_positions = array("l", range(n))
         self._query_cache = LRUCache(max_cached_queries)
-        self._canonical_cache: dict[int, TwigQuery] = {}
+        # Built on the first canonical_query call.  Two threads may race
+        # the build: each publishes a complete pattern of this snapshot,
+        # and a view of either is correct (the benign race of ``index``).
+        self._pattern: list[TwigNode] | None = None
+        self._views: dict[int, TwigQuery] = {}
 
     @property
     def tree(self) -> XTree:
@@ -392,7 +398,8 @@ class IndexedDocument:
         out._all_positions = (array("l", range(len(nodes)))
                               if spliced else prev._all_positions)
         out._query_cache = LRUCache(max_cached_queries)
-        out._canonical_cache = {}
+        out._pattern = None
+        out._views = {}
         return out
 
     # ------------------------------------------------------------------
@@ -550,19 +557,39 @@ class IndexedDocument:
     # Canonical queries (the learner's per-example starting point)
     # ------------------------------------------------------------------
     def canonical_query(self, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node``; cached, copied on return.
+        """Most specific twig selecting ``node``: a cached, read-only view.
 
-        The copy is defensive: learners mutate hypotheses in place, and the
-        first hypothesis *is* the canonical query of the first example.
+        Every view of this snapshot shares one pattern, the document read
+        as a twig (all child edges, all labels concrete), and selects its
+        own node; a repeated call returns the same object.  Callers must
+        not rewrite it: every operation that rewrites a pattern
+        (``anchor_repair``, ``minimize``, ``prune_schema_implied``) copies
+        it first.
         """
-        from repro.twig.generator import canonical_query_for_node
+        position = self.order_of(node)
+        view = self._views.get(position)
+        if view is None:
+            pattern = self._pattern
+            if pattern is None:
+                pattern = self._pattern = self._build_pattern()
+            view = TwigQuery(Axis.CHILD, pattern[0], pattern[position])
+            self._views[position] = view
+        return view
 
-        key = self.order_of(node)
-        cached = self._canonical_cache.get(key)
-        if cached is None:
-            cached = canonical_query_for_node(self.tree, node)
-            self._canonical_cache[key] = cached
-        return cached.copy()
+    def _build_pattern(self) -> list[TwigNode]:
+        """One pattern node per pre-order position, from the label and
+        parent columns, so the pattern is the snapshot this index
+        answers for (a later relabel changes the live node, not these
+        columns)."""
+        labels = [""] * len(self._label_table)
+        for label, label_id in self._label_table.items():
+            labels[label_id] = label
+        pattern = [TwigNode(labels[label_id]) for label_id in self.label_ids]
+        parent = self.parent
+        # Children follow their parent in pre-order, left to right.
+        for i in range(1, len(pattern)):
+            pattern[parent[i]].branches.append((Axis.CHILD, pattern[i]))
+        return pattern
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:

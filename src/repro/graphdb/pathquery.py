@@ -9,9 +9,11 @@ being hopeless: PSPACE-complete evaluation).  We take concatenations of
 
 — deliberately the path analogue of the schema package's disjunctive
 multiplicity expressions.  Evaluation compiles to an NFA (so the RPQ engine
-applies unchanged); the fragment admits an alignment-based least general
-generalisation, which is what makes it learnable (see
-:mod:`repro.learning.path_learner`).
+applies unchanged).  The learner generalises two queries of the fragment
+by their cheapest sequence alignment (``lgg_path`` in
+:mod:`repro.learning.path_learner`); the result generalises both, but it
+is neither least nor monotone in the hypothesis, and that module gives
+the counterexample.
 """
 
 from __future__ import annotations

@@ -380,7 +380,8 @@ class EvaluationBackend:
     # Hypothesis construction (always client-side)
     # ------------------------------------------------------------------
     def canonical_query(self, tree: XTree, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node`` (cached, copied)."""
+        """Most specific twig selecting ``node``: a cached, read-only view
+        shared with every other caller (copy it before rewriting it)."""
         return self.engine.canonical_query(tree, node)
 
     def words_between(self, graph: Graph, source: VertexId,
@@ -584,7 +585,7 @@ class RemoteBackend(EvaluationBackend):
             yield client
         finally:
             if not self._closed:
-                if client._broken or client.closed:
+                if client._broken:
                     self._breaker.record_failure()
                 else:
                     self._breaker.record_success()

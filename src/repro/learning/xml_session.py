@@ -57,7 +57,7 @@ from repro.learning.protocol import (
 from repro.twig.anchored import anchor_repair
 from repro.twig.ast import TwigQuery
 from repro.twig.normalize import minimize
-from repro.twig.product import product
+from repro.twig.product import ProductMemo, product
 from repro.xmltree.tree import XNode, XTree
 
 Candidate = tuple[XTree, XNode]
@@ -133,16 +133,18 @@ class InteractiveTwigSession:
 
     # ------------------------------------------------------------------
     def _extend(self, hypothesis: TwigQuery | None,
-                candidate: Candidate) -> TwigQuery:
-        # The backend caches the canonical query per (document, node); the
-        # session widens a hypothesis with the same candidates repeatedly
-        # while probing implied negatives.
+                candidate: Candidate,
+                memo: ProductMemo | None = None) -> TwigQuery:
+        # The backend caches the canonical query per (document, node), as
+        # a view of one pattern per document; ``memo`` shares the Boolean
+        # products of ``hypothesis`` with the subtrees those views share.
         tree, node = candidate
         canonical = self.backend.canonical_query(tree, node)
         if hypothesis is None:
             merged = canonical
         else:
-            merged = product(hypothesis, canonical, practical=self.practical)
+            merged = product(hypothesis, canonical, practical=self.practical,
+                             memo=memo)
         repaired, _ = anchor_repair(merged)
         return minimize(repaired)
 
@@ -180,7 +182,12 @@ class InteractiveTwigSession:
         hypothesis: TwigQuery | None = None
         negatives: list[Candidate] = []
         pending = list(self.pool)
-        ledger = _TwigLedger(self._extend, self.backend.selects_any)
+        # One product memo per hypothesis: re-widening every pending
+        # candidate after a positive answer computes each (hypothesis
+        # filter, document subtree) product once, not once per candidate.
+        memo = ProductMemo(self.practical)
+        ledger = _TwigLedger(lambda h, c: self._extend(h, c, memo),
+                             self.backend.selects_any)
         order = self._question_order()
 
         while True:
@@ -202,7 +209,8 @@ class InteractiveTwigSession:
             stats.questions += 1
             stats.asked.append(self._descriptor[id(candidate[1])])
             if self.oracle.label(*candidate):
-                hypothesis = self._extend(hypothesis, candidate)
+                hypothesis = self._extend(hypothesis, candidate, memo)
+                memo = ProductMemo(self.practical)
             else:
                 negatives.append(candidate)
             if hypothesis is not None and pending:

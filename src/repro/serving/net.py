@@ -738,7 +738,11 @@ class WorkloadClient:
         self._sock: socket.socket | None = None
         # Set from a request's send until its terminal frame arrives: a
         # request that stopped early left unread frames on the socket.
+        # A failed re-dial leaves it set (and no socket), so the next
+        # request re-dials again.
         self._broken = False
+        # Set by close() alone.
+        self._closed = False
         #: Requests sent on this connection (workloads and stats probes).
         self.requests = 0
         #: Bytes written to / read from the socket, frame prefixes included.
@@ -781,6 +785,7 @@ class WorkloadClient:
 
     def close(self) -> None:
         """Close the connection.  Idempotent; safe after any error."""
+        self._closed = True
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
@@ -790,7 +795,9 @@ class WorkloadClient:
 
     @property
     def closed(self) -> bool:
-        return self._sock is None
+        """Was :meth:`close` called?  A failed re-dial leaves the client
+        broken, not closed."""
+        return self._closed
 
     def __enter__(self) -> "WorkloadClient":
         return self
@@ -859,7 +866,7 @@ class WorkloadClient:
         Under a policy each attempt first re-dials a broken connection,
         so a failed dial uses up the budget like any other failure.
         """
-        if self._sock is None:
+        if self._closed:
             raise RuntimeError("client is closed")
         if self._retry is None and self._broken:
             raise ProtocolError(

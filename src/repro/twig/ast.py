@@ -7,8 +7,10 @@ root of the pattern **is** the document root element, ``//`` = the root of
 the pattern may match any node).  Exactly one node is *selected* — its
 matches form the query answer.
 
-Nodes are mutable (the learner rewrites patterns heavily); queries expose
-``copy()`` that preserves which node is selected.
+Patterns are read-only values once built.  Canonical queries are views of
+one shared pattern per document, and products share memoised subtrees (a
+product may be a DAG), so every operation that rewrites a pattern copies
+it first; ``copy()`` preserves which node is selected.
 """
 
 from __future__ import annotations
@@ -171,33 +173,31 @@ class TwigQuery:
     def depth(self) -> int:
         return self.root.depth()
 
-    def parent_map(self) -> dict[int, tuple[TwigNode, Axis] | None]:
-        """Map ``id(node) -> (parent, axis)`` (``None`` for the root)."""
-        parents: dict[int, tuple[TwigNode, Axis] | None] = {id(self.root): None}
-        for n in self.root.iter():
-            for axis, child in n.branches:
-                parents[id(child)] = (n, axis)
-        return parents
-
     def spine(self) -> list[tuple[Axis, TwigNode]]:
         """The path from the root to the selected node.
 
         Returns ``[(root_axis, root), (axis1, n1), ..., (axisk, selected)]``.
+        A depth-first search that stops at the selected node: a view of a
+        whole-document pattern walks the nodes before it in pre-order, not
+        the whole document.
         """
-        parents = self.parent_map()
-        path: list[tuple[Axis, TwigNode]] = []
-        current: TwigNode | None = self.selected
-        while current is not None:
-            entry = parents[id(current)]
-            if entry is None:
-                path.append((self.root_axis, current))
-                current = None
-            else:
-                parent, axis = entry
-                path.append((axis, current))
-                current = parent
-        path.reverse()
-        return path
+        path: list[tuple[Axis, TwigNode]] = [(self.root_axis, self.root)]
+        if self.root is self.selected:
+            return path
+        # One branch iterator per node on ``path``: the search backs up
+        # past a node once its branches are exhausted.
+        pending = [iter(self.root.branches)]
+        while pending:
+            step = next(pending[-1], None)
+            if step is None:
+                pending.pop()
+                path.pop()
+                continue
+            path.append(step)
+            if step[1] is self.selected:
+                return path
+            pending.append(iter(step[1].branches))
+        raise ValueError("selected node must belong to the query pattern")
 
     def copy(self) -> "TwigQuery":
         root_copy, mapping = self.root.copy_with_map()

@@ -58,26 +58,39 @@ def _embeds(u: TwigNode, v: TwigNode,
 
 
 def branch_implies(stronger: tuple[Axis, TwigNode],
-                   weaker: tuple[Axis, TwigNode]) -> bool:
-    """Does the ``stronger`` branch imply the ``weaker`` one at the same node?"""
+                   weaker: tuple[Axis, TwigNode],
+                   memo: dict[tuple[int, int], bool] | None = None) -> bool:
+    """Does the ``stronger`` branch imply the ``weaker`` one at the same node?
+
+    ``memo`` caches embeddings by ``(id(pattern), id(target))`` across
+    calls (a fresh one per call by default).  A caller that shares one
+    must keep every node it has seen alive and unchanged while it lives.
+    """
+    if memo is None:
+        memo = {}
     axis_s, sub_s = stronger
     axis_w, sub_w = weaker
     if axis_w is Axis.CHILD:
-        return axis_s is Axis.CHILD and bool_embeds_at(sub_w, sub_s)
+        return axis_s is Axis.CHILD and _embeds(sub_w, sub_s, memo)
     # weaker is a descendant branch: any placement in the stronger subtree
     # sits at depth >= 1 below the shared parent.
-    return any(bool_embeds_at(sub_w, v) for v in sub_s.iter())
+    return any(_embeds(sub_w, v, memo) for v in sub_s.iter())
 
 
 def _prune_branches(
     branches: list[tuple[Axis, TwigNode]],
     protected: set[int],
+    memo: dict[tuple[int, int], bool] | None = None,
 ) -> list[tuple[Axis, TwigNode]]:
     """Drop branches implied by a surviving sibling.
 
     ``protected`` holds ids of subtree roots that must survive (they contain
     the selected node).  Equivalent pairs keep the earliest branch.
+    ``memo`` is the embedding memo of :func:`branch_implies`; by default
+    one sweep shares a fresh one (nothing changes during a sweep).
     """
+    if memo is None:
+        memo = {}
     removed: set[int] = set()
     for i, bi in enumerate(branches):
         if id(bi[1]) in protected:
@@ -85,8 +98,8 @@ def _prune_branches(
         for j, bj in enumerate(branches):
             if i == j or j in removed:
                 continue
-            if branch_implies(bj, bi):
-                if not branch_implies(bi, bj) or j < i:
+            if branch_implies(bj, bi, memo):
+                if not branch_implies(bi, bj, memo) or j < i:
                     removed.add(i)
                     break
     return [b for i, b in enumerate(branches) if i not in removed]
@@ -94,9 +107,13 @@ def _prune_branches(
 
 def prune_redundant_branches(
     branches: list[tuple[Axis, TwigNode]],
+    memo: dict[tuple[int, int], bool] | None = None,
 ) -> list[tuple[Axis, TwigNode]]:
-    """Public pruning entry point for Boolean branch lists (no selected node)."""
-    return _prune_branches(branches, set())
+    """Public pruning entry point for Boolean branch lists (no selected node).
+
+    ``memo`` is as for :func:`branch_implies`.
+    """
+    return _prune_branches(branches, set(), memo)
 
 
 def minimize(query: TwigQuery) -> TwigQuery:

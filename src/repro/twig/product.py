@@ -24,6 +24,15 @@ axis).  Pairs that are deep on *both* sides are implied by compositions of
 the above and therefore omitted.  Redundant branches are pruned eagerly
 (see :mod:`repro.twig.normalize`) to keep intermediate patterns small.
 
+Boolean products are memoised per pair of factor nodes and shared, not
+copied: a product's filter subtrees may be shared, so a product can be a
+DAG.  Like every twig pattern it is a read-only value; every consumer
+either reads it or copies it first.  A caller that widens one hypothesis
+with many queries passes one :class:`ProductMemo` to every
+:func:`product` call, so each Boolean product of the hypothesis with a
+subtree they share (canonical queries of one document share one pattern)
+is computed once.
+
 Different spine alignments yield incomparable minimal generalisations —
 this is exactly why consistency with negative examples is NP-complete for
 twigs while learning from positives alone is tractable.  :func:`product`
@@ -49,29 +58,33 @@ _DESC_COST = 1
 Alignment = list[tuple[int, int]]
 
 
-def _copy_node(n: TwigNode) -> TwigNode:
-    clone = TwigNode(n.label)
-    clone.branches = [(axis, _copy_node(c)) for axis, c in n.branches]
-    return clone
-
-
 def _product_label(a: str, b: str) -> str:
     return a if a == b else "*"
 
 
-class _BoolProducts:
+class ProductMemo:
     """Memoised Boolean products of subpattern pairs.
 
     ``practical=True`` pairs only equal labels (the mode used when examples
     are whole documents: mismatched-label pairs produce ``*`` branches that
     are almost always pruned anyway, and skipping them keeps the product
     from exploding).  ``practical=False`` is the exact construction.
+
+    A hit returns the memoised node itself, so products share subtrees.
+    Entries are keyed by ``id`` and hold a strong reference to their
+    factor nodes, so no key can be reused while the memo lives; the
+    pruning's implication memo (:func:`~repro.twig.normalize.branch_implies`)
+    is keyed by product nodes this memo holds.  One memo may serve any
+    number of :func:`product` calls in its mode; the caller owns its
+    lifetime.
     """
 
-    def __init__(self, practical: bool) -> None:
+    def __init__(self, practical: bool = True) -> None:
         self.practical = practical
-        self._memo: dict[tuple[int, int], TwigNode] = {}
-        self._deep: dict[int, list[TwigNode]] = {}
+        self._memo: dict[tuple[int, int],
+                         tuple[TwigNode, TwigNode, TwigNode]] = {}
+        self._deep: dict[int, tuple[TwigNode, list[TwigNode]]] = {}
+        self._implications: dict[tuple[int, int], bool] = {}
 
     def _labels_pair(self, a: str, b: str) -> bool:
         if not self.practical:
@@ -79,10 +92,9 @@ class _BoolProducts:
         return a == b
 
     def node(self, u: TwigNode, v: TwigNode) -> TwigNode:
-        key = (id(u), id(v))
-        cached = self._memo.get(key)
-        if cached is not None:
-            return _copy_node(cached)
+        hit = self._memo.get((id(u), id(v)))
+        if hit is not None:
+            return hit[2]
         result = TwigNode(_product_label(u.label, v.label))
         branches: list[tuple[Axis, TwigNode]] = []
         v_deep = [d for _, vc in v.branches for d in self.deep_nodes(vc)]
@@ -99,20 +111,27 @@ class _BoolProducts:
             for w in u_deep:
                 if self._labels_pair(w.label, vc.label):
                     branches.append((Axis.DESC, self.node(w, vc)))
-        result.branches = prune_redundant_branches(branches)
-        self._memo[key] = result
-        return _copy_node(result)
+        result.branches = self.prune(branches)
+        self._memo[(id(u), id(v))] = (u, v, result)
+        return result
+
+    def prune(self, branches: list[tuple[Axis, TwigNode]],
+              ) -> list[tuple[Axis, TwigNode]]:
+        """:func:`prune_redundant_branches` over product nodes, sharing
+        this memo's implications."""
+        return prune_redundant_branches(branches, self._implications)
 
     def deep_nodes(self, n: TwigNode) -> list[TwigNode]:
         """Nodes at depth >= 2 below the parent of ``n`` (i.e. inside
-        ``n``), in pre-order; built once per factor node per product."""
-        deep = self._deep.get(id(n))
-        if deep is None:
-            deep = []
-            for _, child in n.branches:
-                deep.append(child)
-                deep.extend(self.deep_nodes(child))
-            self._deep[id(n)] = deep
+        ``n``), in pre-order; built once per factor node per memo."""
+        hit = self._deep.get(id(n))
+        if hit is not None:
+            return hit[1]
+        deep: list[TwigNode] = []
+        for _, child in n.branches:
+            deep.append(child)
+            deep.extend(self.deep_nodes(child))
+        self._deep[id(n)] = (n, deep)
         return deep
 
 
@@ -216,7 +235,7 @@ def _off_spine(spine_node: TwigNode,
 
 def _assemble(p: TwigQuery, q: TwigQuery, p_parts: SpineParts,
               q_parts: SpineParts, alignment: Alignment,
-              products: _BoolProducts) -> TwigQuery:
+              products: ProductMemo) -> TwigQuery:
     p_axes, p_nodes = p_parts
     q_axes, q_nodes = q_parts
 
@@ -246,7 +265,7 @@ def _assemble(p: TwigQuery, q: TwigQuery, p_parts: SpineParts,
                 for w in products.deep_nodes(uc):
                     if products._labels_pair(w.label, vc.label):
                         filters.append((Axis.DESC, products.node(w, vc)))
-        node.branches = prune_redundant_branches(filters)
+        node.branches = products.prune(filters)
         built.append(node)
 
     # Link consecutive spine nodes.
@@ -265,18 +284,27 @@ def _assemble(p: TwigQuery, q: TwigQuery, p_parts: SpineParts,
     return TwigQuery(root_axis, built[0], built[-1])
 
 
-def product(p: TwigQuery, q: TwigQuery, *,
-            practical: bool = True) -> TwigQuery:
+def product(p: TwigQuery, q: TwigQuery, *, practical: bool = True,
+            memo: ProductMemo | None = None) -> TwigQuery:
     """The minimum-cost generalisation of ``p`` and ``q``.
 
     ``practical=True`` (default) pairs only equal labels inside filters —
     the mode intended for learning from whole-document examples.  Pass
     ``practical=False`` for the exhaustive Boolean product on small queries.
+
+    ``memo`` shares Boolean products across calls (a fresh one per call by
+    default); it must have been built for the same ``practical`` mode,
+    else :class:`ValueError`.  Neither factor is changed, and the result
+    shares memoised subtrees: read it, or copy it before rewriting it.
     """
-    products = _BoolProducts(practical)
+    if memo is None:
+        memo = ProductMemo(practical)
+    elif memo.practical != practical:
+        raise ValueError(f"the memo was built for practical={memo.practical}, "
+                         f"not practical={practical}")
     p_parts, q_parts = _spine_parts(p), _spine_parts(q)
     for _, alignment in _alignments(p_parts, q_parts):
-        return _assemble(p, q, p_parts, q_parts, alignment, products)
+        return _assemble(p, q, p_parts, q_parts, alignment, memo)
     raise AssertionError("spine alignment search yielded no alignment")
 
 
@@ -286,9 +314,10 @@ def iter_products(p: TwigQuery, q: TwigQuery, *, practical: bool = True,
 
     At most ``limit`` results (``None`` = unbounded).  Used by the
     consistency-with-negatives search, which needs alternatives when the
-    cheapest generalisation selects a negative example.
+    cheapest generalisation selects a negative example.  The alternatives
+    share one memo, so they may share subtrees with each other.
     """
-    products = _BoolProducts(practical)
+    products = ProductMemo(practical)
     p_parts, q_parts = _spine_parts(p), _spine_parts(q)
     count = 0
     for _, alignment in _alignments(p_parts, q_parts):

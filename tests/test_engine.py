@@ -14,7 +14,7 @@ from repro.twig.generator import canonical_query_for_node
 from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate, evaluate_naive
 from repro.twig.union import UnionTwigQuery
-from repro.xmltree.tree import XTree
+from repro.xmltree.tree import XNode, XTree
 
 from .conftest import twig_queries, xml, xnode_trees
 
@@ -104,17 +104,30 @@ def test_interval_index_matches_parent_walks(tree):
 
 
 @settings(max_examples=40, deadline=None)
-@given(xnode_trees(max_depth=4, max_children=3))
-def test_cached_canonical_queries_are_defensive_copies(tree):
+@given(xnode_trees(max_depth=4, max_children=3),
+       st.sampled_from(("insert", "relabel")), st.data())
+def test_canonical_queries_are_shared_views_of_one_pattern(tree, edit, data):
     doc = XTree(tree)
     engine = Engine()
-    target = next(iter(doc.nodes()))
-    reference = canonical_query_for_node(doc, target)
-    first = engine.canonical_query(doc, target)
-    assert first == reference
-    # Mutating what the engine handed out must not corrupt the cache.
-    first.root.label = "mutated"
-    assert engine.canonical_query(doc, target) == reference
+    nodes = list(doc.nodes())
+    views = [engine.canonical_query(doc, n) for n in nodes]
+    for node, view in zip(nodes, views):
+        assert view == canonical_query_for_node(doc, node)
+    # One pattern per document, one view per node, handed out as is.
+    assert len({id(view.root) for view in views}) == 1
+    for node, view in zip(nodes, views):
+        assert engine.canonical_query(doc, node) is view
+    forms = [view.canonical() for view in views]
+    target = data.draw(st.sampled_from(nodes))
+    if edit == "insert":
+        doc.insert_subtree(target, XNode("edited"))
+    else:
+        doc.relabel_node(target, label="edited")
+    fresh = [engine.canonical_query(doc, n) for n in doc.nodes()]
+    for node, view in zip(doc.nodes(), fresh):
+        assert view == canonical_query_for_node(doc, node)
+    assert "edited" in {n.label for n in fresh[0].nodes()}
+    assert [view.canonical() for view in views] == forms
 
 
 def test_evaluate_wrapper_uses_shared_engine():

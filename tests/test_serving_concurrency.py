@@ -11,6 +11,7 @@ never a mix), so the suite needs no ordering plugins to stay stable.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 from repro.engine import Engine, LRUCache, get_engine, reset_engine
@@ -47,6 +48,54 @@ def _run_threads(workers):
         t.join()
     if errors:
         raise errors[0]
+
+
+# ---------------------------------------------------------------------------
+# Canonical views built lazily from many threads
+# ---------------------------------------------------------------------------
+
+
+def test_canonical_views_stay_correct_under_racing_first_calls():
+    """Threads racing a document's first canonical_query calls may each
+    build the pattern; every view handed out is still the canonical query
+    of its node, and once the race is over repeated calls agree."""
+    from repro.twig.generator import canonical_query_for_node
+
+    # Large enough that a pattern build spans many thread switches.
+    docs = [xml("<a>" + "<b><c/><d>x</d></b>" * (300 + i) + "</a>")
+            for i in range(8)]
+    engine = Engine()
+    n_threads = 6
+    rng = random.Random(0)
+    plans = [[rng.sample(list(doc.nodes()), 3) for doc in docs]
+             for _ in range(n_threads)]
+    expected = {id(node): canonical_query_for_node(doc, node).canonical()
+                for plan in plans for doc, nodes in zip(docs, plan)
+                for node in nodes}
+    start = threading.Barrier(n_threads, timeout=10)
+    wrong: list[str] = []
+
+    def asker(plan):
+        def go():
+            for doc, nodes in zip(docs, plan):
+                start.wait()  # every thread's first call races the build
+                for node in nodes:
+                    view = engine.canonical_query(doc, node)
+                    if view.canonical() != expected[id(node)]:
+                        wrong.append(node.label)
+        return go
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads([asker(plan) for plan in plans])
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    for doc in docs:
+        for node in list(doc.nodes())[:50]:
+            assert (engine.canonical_query(doc, node)
+                    is engine.canonical_query(doc, node))
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,28 @@ def test_refused_connection_is_crisp_then_healed():
             assert proxy.stats()["refused"] == 1
 
 
+def test_failed_redial_leaves_the_client_broken_not_closed():
+    """Only close() closes a client.  With its server gone, every request
+    re-dials under the policy and ends in the dial's own error, and the
+    client still reads as open, so the next request dials again."""
+    server = ServerThread(AsyncBatchEvaluator(engine=Engine()))
+    client = WorkloadClient(*server.address,
+                            retry=_quick_retry(max_attempts=2))
+    try:
+        assert "engine" in client.stats()
+        server.close()
+        for _ in range(2):
+            with pytest.raises(ConnectionRefusedError):
+                client.stats()
+            assert not client.closed
+    finally:
+        client.close()
+        server.close()
+    assert client.closed
+    with pytest.raises(RuntimeError, match="client is closed"):
+        client.stats()
+
+
 def test_connection_killed_mid_stream_replays_exactly_once():
     workload = _workload(5)  # several shards -> several response frames
     with ServerThread(AsyncBatchEvaluator(engine=Engine())) as server:

@@ -119,10 +119,11 @@ def test_twig_helpers_leave_no_reference_cycles():
     """
     import gc
 
+    from repro.engine import Engine
     from repro.serving.wire import decode_twig_query, encode_twig_query
     from repro.twig.generator import canonical_query_for_node
     from repro.twig.normalize import bool_embeds_at, minimize
-    from repro.twig.product import product
+    from repro.twig.product import ProductMemo, product
     from repro.xmltree.parser import parse_xml
     from repro.xmltree.tree import XTree
 
@@ -133,6 +134,14 @@ def test_twig_helpers_leave_no_reference_cycles():
     target = next(n for n in doc.nodes() if n.label == "name")
     canonical = canonical_query_for_node(doc, target)
     encoded = encode_twig_query(q)
+    engine = Engine()
+    views = [engine.canonical_query(doc, n) for n in doc.nodes()
+             if n.label in ("name", "phone")]
+
+    def products_sharing_one_memo():
+        # The views share one pattern, so later products hit the memo.
+        memo = ProductMemo()
+        return [product(q, view, memo=memo) for view in views]
     operations = {
         "copy": q.copy,
         "canonical": q.canonical,
@@ -145,6 +154,10 @@ def test_twig_helpers_leave_no_reference_cycles():
         "encode_twig_query": lambda: encode_twig_query(q),
         "decode_twig_query": lambda: decode_twig_query(encoded),
         "to_xpath": q.to_xpath,
+        "spine": q.spine,
+        "canonical_view_from_a_fresh_engine":
+            lambda: Engine().canonical_query(doc, target),
+        "product_with_a_shared_memo": products_sharing_one_memo,
     }
     for operation in operations.values():
         operation()  # warm any lazy state outside the measurement
