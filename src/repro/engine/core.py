@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
+from typing import Any
 
 from repro.engine.cache import LRUCache
 from repro.engine.document import IndexedDocument
@@ -42,23 +43,50 @@ from repro.xmltree.tree import XNode, XTree
 
 Word = tuple[str, ...]
 
-
-def _retire_index_on_instance_death(engine_ref, kind: str, index) -> None:
-    """Finalizer callback for a dead instance (module-level on purpose:
-    a bound-method callback would strong-reference the engine and keep
-    every engine alive as long as any document it ever indexed)."""
-    engine = engine_ref()
-    if engine is not None:
-        engine._retire_index(kind, index)
+_ABSENT = object()
 
 
-def _detach_finalizers(finalizers: set) -> None:
-    """Engine-death finalizer: release the index references held by the
-    engine's per-instance finalizers (their counters have nowhere to go
-    once the engine is gone)."""
-    for finalizer in list(finalizers):
-        finalizer.detach()
-    finalizers.clear()
+class _LookupTotals:
+    """Engine-wide hit/miss totals of one kind of index result cache."""
+
+    __slots__ = ("_lock", "hits", "misses")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.hits = 0  # guarded-by: _lock
+        self.misses = 0  # guarded-by: _lock
+
+    def count(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+
+    def read(self) -> tuple[int, int]:
+        with self._lock:
+            return self.hits, self.misses
+
+    def reset(self) -> None:
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+
+
+class _CountedCache(LRUCache):
+    """An index's result cache that also adds every lookup to the
+    engine's totals as it happens, so the totals outlive the index."""
+
+    __slots__ = ("_totals",)
+
+    def __init__(self, maxsize: int, totals: _LookupTotals) -> None:
+        super().__init__(maxsize)
+        self._totals = totals
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        value = super().get(key, _ABSENT)
+        self._totals.count(value is not _ABSENT)
+        return default if value is _ABSENT else value
 
 
 class Engine:
@@ -92,19 +120,6 @@ class Engine:
         # guarded-by: _lock
         self._build_locks: "weakref.WeakKeyDictionary[object, threading.RLock]" \
             = weakref.WeakKeyDictionary()
-        # One finalizer per instance, retiring the *current* index's
-        # counters when the instance dies.  Replaced on every rebuild
-        # (the old one detached first) so no dead index snapshot stays
-        # pinned through a finalizer argument.  The flat set exists so a
-        # dying *engine* can release its finalizers' index references —
-        # the weak-key map alone would die with the engine while the
-        # finalize registry kept pinning every index until its instance
-        # died.
-        # guarded-by: _lock
-        self._finalizers: "weakref.WeakKeyDictionary[object, weakref.finalize]" \
-            = weakref.WeakKeyDictionary()
-        self._live_finalizers: set = set()  # guarded-by: _lock
-        weakref.finalize(self, _detach_finalizers, self._live_finalizers)
         # Index-build accounting: how many times an IndexedDocument /
         # IndexedGraph was (re)built — a version bump shows up here as an
         # extra build on the next acquisition.
@@ -112,12 +127,10 @@ class Engine:
         # ...of which, how many were incremental patches of the stale
         # index (edit-log splice) rather than cold rebuilds.
         self._index_patches = {"document": 0, "graph": 0}  # guarded-by: _lock
-        # Hit/miss counters of per-index caches that were evicted or
-        # garbage-collected since the last reset_stats(), so aggregate
-        # totals never silently shrink when an instance dies.
-        # guarded-by: _lock
-        self._retired = {"document": {"hits": 0, "misses": 0},
-                         "graph": {"hits": 0, "misses": 0}}
+        # Lookups in every twig query-result / RPQ source-set cache the
+        # engine hands an index, counted as they happen (_CountedCache).
+        self._twig_lookups = _LookupTotals()
+        self._rpq_lookups = _LookupTotals()
 
     # ------------------------------------------------------------------
     # Index acquisition
@@ -128,12 +141,7 @@ class Engine:
         A stale index — the tree's version moved past the indexed one via
         ``XTree.invalidate()`` — is rebuilt transparently.
         """
-        return self._acquire(
-            # repro: allow[lock-discipline] passes the map by reference
-            # only; _acquire touches it strictly under `with self._lock:`.
-            tree, self._documents,
-            lambda prev: self._patch_or_build_document(tree, prev),
-            "document")
+        return self._acquire(tree, "document")
 
     def graph(self, graph: Graph) -> IndexedGraph:
         """The (cached) adjacency index of ``graph``.
@@ -141,51 +149,12 @@ class Engine:
         Graph mutators bump the graph's version, so an index made stale by
         ``add_vertex``/``add_edge`` is rebuilt transparently.
         """
-        return self._acquire(
-            # repro: allow[lock-discipline] passes the map by reference
-            # only; _acquire touches it strictly under `with self._lock:`.
-            graph, self._graphs,
-            lambda prev: self._patch_or_build_graph(graph, prev),
-            "graph")
+        return self._acquire(graph, "graph")
 
-    def _patch_or_build_document(self, tree: XTree,
-                                 prev: IndexedDocument | None,
-                                 ) -> IndexedDocument:
-        """Splice ``prev`` along the tree's edit log when the log covers
-        the gap and the edit is small; cold-rebuild otherwise."""
-        if prev is not None:
-            ops = tree.edits_since(prev.version)
-            if ops:
-                patched = IndexedDocument.patched(
-                    prev, tree, ops,
-                    max_cached_queries=self.max_cached_queries)
-                if patched is not None:
-                    with self._lock:
-                        self._index_patches["document"] += 1
-                    return patched
-        return IndexedDocument(tree,
-                               max_cached_queries=self.max_cached_queries)
-
-    def _patch_or_build_graph(self, graph: Graph,
-                              prev: IndexedGraph | None) -> IndexedGraph:
-        """Graph twin of :meth:`_patch_or_build_document`."""
-        if prev is not None:
-            ops = graph.edits_since(prev.version)
-            if ops:
-                patched = IndexedGraph.patched(
-                    prev, graph, ops,
-                    max_cached_results=self.max_graph_results,
-                    nfa_cache=self._nfas)
-                if patched is not None:
-                    with self._lock:
-                        self._index_patches["graph"] += 1
-                    return patched
-        return IndexedGraph(graph, max_cached_results=self.max_graph_results,
-                            nfa_cache=self._nfas)
-
-    def _acquire(self, instance, index_map, build, kind):
+    def _acquire(self, instance, kind: str):
         """Serve a fresh index, building under a per-instance lock."""
         with self._lock:
+            index_map = self._documents if kind == "document" else self._graphs
             index = index_map.get(instance)
             if index is not None and \
                     index.version == instance_version(instance):
@@ -200,59 +169,15 @@ class Engine:
                         prev.version == instance_version(instance):
                     return prev
             # The stale index is the patch base: when the instance's
-            # edit log covers prev.version -> now, the build callable
-            # splices it instead of re-traversing the whole instance.
-            index = self._build(instance, build, prev)
+            # edit log covers prev.version -> now, it is spliced instead
+            # of re-traversing the whole instance.
+            index = self._build(instance, kind, prev)
             with self._lock:
-                stale = index_map.get(instance)
                 index_map[instance] = index
                 self._index_builds[kind] += 1
-                old_finalizer = self._finalizers.pop(instance, None)
-            # Detach before retiring: the old finalizer's strong argument
-            # reference is what would otherwise pin the replaced snapshot
-            # (pre-order arrays, label sets) for the instance's lifetime.
-            if old_finalizer is not None:
-                old_finalizer.detach()
-                with self._lock:
-                    self._live_finalizers.discard(old_finalizer)
-            if stale is not None:
-                # The replaced index takes its hit/miss history with it;
-                # fold it into the retired totals.
-                self._retire_index(kind, stale)
-            # When the instance dies, the *current* index's counters move
-            # into the retired totals too, so aggregate stats never
-            # shrink just because a document was garbage-collected (the
-            # serving tier decodes short-lived instances per request).
-            finalizer = weakref.finalize(
-                instance, _retire_index_on_instance_death,
-                weakref.ref(self), kind, index)
-            with self._lock:
-                self._finalizers[instance] = finalizer
-                self._live_finalizers.add(finalizer)
-                if len(self._live_finalizers) > 2 * (
-                        len(self._documents) + len(self._graphs) + 1):
-                    # Spent finalizers (fired or detached) are empty
-                    # husks; prune in place — the engine-death finalizer
-                    # above captured this exact set object.
-                    self._live_finalizers.difference_update(
-                        [f for f in self._live_finalizers if not f.alive])
             return index
 
-    def _retire_index(self, kind: str, index) -> None:
-        """Fold a dead/replaced index's counters into the retired totals.
-
-        Exactly once per index: the replace path and the instance-death
-        finalizer can both reach the same index.
-        """
-        with self._lock:
-            if getattr(index, "_stats_retired", False):
-                return
-            index._stats_retired = True
-            cache_stats = index.cache_stats()
-            self._retired[kind]["hits"] += cache_stats["hits"]
-            self._retired[kind]["misses"] += cache_stats["misses"]
-
-    def _build(self, instance, build, prev=None):
+    def _build(self, instance, kind: str, prev):
         """Build an index, retrying when a concurrent mutation tears it.
 
         A mutation running in another thread while we snapshot can either
@@ -261,14 +186,14 @@ class Engine:
         structure (which surfaces as a build error).  Both are transient,
         so both retry; a *deterministic* build failure still surfaces
         after the retry budget, since retrying cannot fix it.  A retried
-        *patch* naturally widens its window: the callable re-reads the
+        *patch* naturally widens its window: each attempt re-reads the
         edit log from ``prev.version``, which now includes the racing
         ops.
         """
         last_index = last_error = None
         for _ in range(self.MAX_REINDEX_RETRIES):
             try:
-                index = build(prev)
+                index = self._new_index(instance, kind, prev)
             except Exception as exc:
                 last_error = exc
                 continue
@@ -280,6 +205,28 @@ class Engine:
         # Mutation storm: serve the newest usable build (even if a later
         # attempt failed on a torn read); the next call rebuilds.
         return last_index
+
+    def _new_index(self, instance, kind: str, prev):
+        """Splice ``prev`` along the instance's edit log when the log
+        covers the gap and the edit is small; index cold otherwise."""
+        if kind == "document":
+            cls = IndexedDocument
+            caches = {"query_cache": _CountedCache(
+                self.max_cached_queries, self._twig_lookups)}
+        else:
+            cls = IndexedGraph
+            caches = {"reachable_cache": _CountedCache(
+                self.max_graph_results, self._rpq_lookups),
+                "nfa_cache": self._nfas}
+        if prev is not None:
+            ops = instance.edits_since(prev.version)
+            if ops:
+                patched = cls.patched(prev, instance, ops, **caches)
+                if patched is not None:
+                    with self._lock:
+                        self._index_patches[kind] += 1
+                    return patched
+        return cls(instance, **caches)
 
     # ------------------------------------------------------------------
     # Twig evaluation
@@ -380,100 +327,64 @@ class Engine:
     # ------------------------------------------------------------------
     def invalidate(self, instance: XTree | Graph) -> None:
         """Drop the cached index of one instance (after a mutation)."""
-        if isinstance(instance, XTree):
-            kind, dropped = "document", None
-            with self._lock:
-                dropped = self._documents.pop(instance, None)
-                finalizer = self._finalizers.pop(instance, None)
-        elif isinstance(instance, Graph):
-            kind, dropped = "graph", None
-            with self._lock:
-                dropped = self._graphs.pop(instance, None)
-                finalizer = self._finalizers.pop(instance, None)
-        else:
-            raise TypeError(
-                f"cannot invalidate {type(instance).__name__}: expected "
-                "an XTree or a Graph")
-        if finalizer is not None:
-            finalizer.detach()
-            with self._lock:
-                self._live_finalizers.discard(finalizer)
-        if dropped is not None:
-            self._retire_index(kind, dropped)
+        with self._lock:
+            if isinstance(instance, XTree):
+                self._documents.pop(instance, None)
+            elif isinstance(instance, Graph):
+                self._graphs.pop(instance, None)
+            else:
+                raise TypeError(
+                    f"cannot invalidate {type(instance).__name__}: expected "
+                    "an XTree or a Graph")
 
     def reset(self) -> None:
-        """Drop every cached index and memo.
+        """Drop every cached index and memo, and zero every counter.
 
         Safe mid-batch: in-flight shards keep evaluating against the
         snapshots they already hold; only *future* index acquisitions see
-        the cleared maps and rebuild.
+        the cleared maps and rebuild.  A lookup such a shard makes after
+        the reset counts in the new stats window.
         """
         with self._lock:
-            # A reset is a cold start: stats always derived from the live
-            # maps before the counters existed, so they go cold too — and
-            # the dropped indexes must not resurface in the retired
-            # totals when their instances die later.
-            for index in self._documents.values():
-                index._stats_retired = True
-            for index in self._graphs.values():
-                index._stats_retired = True
-            for finalizer in list(self._live_finalizers):
-                finalizer.detach()
-            self._live_finalizers.clear()
-            self._finalizers.clear()
             self._documents.clear()
             self._graphs.clear()
             self._build_locks.clear()
-            for kind in self._index_builds:
-                self._index_builds[kind] = 0
-            for kind in self._index_patches:
-                self._index_patches[kind] = 0
-            for retired in self._retired.values():
-                retired["hits"] = 0
-                retired["misses"] = 0
+            self.reset_stats()
         self._nfas.clear()
         self._word_accepts.clear()
-        self._nfas.reset_stats()
-        self._word_accepts.reset_stats()
 
     def stats(self) -> dict[str, object]:
         """Aggregate cache + index-build statistics.
 
-        Hit/miss totals sum the per-:class:`~repro.engine.cache.LRUCache`
-        counters across every live ``IndexedDocument``/``IndexedGraph``
-        plus the retired history of replaced indexes, so a rebuild never
-        makes the numbers go backwards.  ``document_builds`` /
-        ``graph_builds`` count index (re)constructions — a version bump
-        (``XTree.invalidate()``, a ``Graph`` mutator) shows up as one
-        extra build on the next evaluation.  The result is plain
-        ints/dicts, JSON-encodable end to end (the serving tier ships it
-        over the wire ``stats`` frame).
+        Hit/miss totals count every lookup in every index's result cache
+        since the last reset, as it happened, so replacing, invalidating
+        or collecting an index never makes the numbers go backwards.
+        ``document_builds`` / ``graph_builds`` count index
+        (re)constructions — a version bump (``XTree.invalidate()``, a
+        ``Graph`` mutator) shows up as one extra build on the next
+        evaluation.  The result is plain ints/dicts, JSON-encodable end
+        to end (the serving tier ships it over the wire ``stats`` frame).
         """
         with self._lock:
-            doc_stats = [d.cache_stats() for d in self._documents.values()]
-            graph_stats = [g.cache_stats() for g in self._graphs.values()]
+            documents = len(self._documents)
+            graphs = len(self._graphs)
             builds = dict(self._index_builds)
             patches = dict(self._index_patches)
-            retired_doc = dict(self._retired["document"])
-            retired_graph = dict(self._retired["graph"])
+        twig_hits, twig_misses = self._twig_lookups.read()
+        rpq_hits, rpq_misses = self._rpq_lookups.read()
         return {
-            "documents": len(doc_stats),
-            "graphs": len(graph_stats),
+            "documents": documents,
+            "graphs": graphs,
             "document_builds": builds["document"],
             "graph_builds": builds["graph"],
             "index_builds": builds["document"] + builds["graph"],
             "document_patches": patches["document"],
             "graph_patches": patches["graph"],
             "index_patches": patches["document"] + patches["graph"],
-            "twig_query_hits":
-                sum(s["hits"] for s in doc_stats) + retired_doc["hits"],
-            "twig_query_misses":
-                sum(s["misses"] for s in doc_stats) + retired_doc["misses"],
-            "rpq_source_hits":
-                sum(s["hits"] for s in graph_stats) + retired_graph["hits"],
-            "rpq_source_misses":
-                sum(s["misses"] for s in graph_stats)
-                + retired_graph["misses"],
+            "twig_query_hits": twig_hits,
+            "twig_query_misses": twig_misses,
+            "rpq_source_hits": rpq_hits,
+            "rpq_source_misses": rpq_misses,
             "nfa_cache": self._nfas.stats(),
             "word_accepts": self._word_accepts.stats(),
         }
@@ -486,17 +397,12 @@ class Engine:
         call this to measure a window, not to go cold.
         """
         with self._lock:
-            for index in self._documents.values():
-                index.reset_cache_stats()
-            for index in self._graphs.values():
-                index.reset_cache_stats()
             for kind in self._index_builds:
                 self._index_builds[kind] = 0
             for kind in self._index_patches:
                 self._index_patches[kind] = 0
-            for retired in self._retired.values():
-                retired["hits"] = 0
-                retired["misses"] = 0
+        self._twig_lookups.reset()
+        self._rpq_lookups.reset()
         self._nfas.reset_stats()
         self._word_accepts.reset_stats()
 

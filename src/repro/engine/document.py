@@ -67,7 +67,8 @@ def _intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
 class IndexedDocument:
     """One-time columnar index over a document, plus result caches."""
 
-    def __init__(self, tree: XTree, *, max_cached_queries: int = 256) -> None:
+    def __init__(self, tree: XTree, *,
+                 query_cache: LRUCache | None = None) -> None:
         # Weak back-reference: the engine maps trees to indexes weakly, so
         # a strong ref here would keep every indexed tree alive forever.
         self._tree = weakref.ref(tree)
@@ -123,7 +124,10 @@ class IndexedDocument:
         self._label_table: dict[str, int] = label_table
         self._label_positions: dict[str, array[int]] = by_label
         self._all_positions = array("l", range(n))
-        self._query_cache = LRUCache(max_cached_queries)
+        # An engine passes a fresh cache that also counts every lookup
+        # into its engine-wide totals.
+        self._query_cache = query_cache if query_cache is not None \
+            else LRUCache(256)
         # Built on the first canonical_query call.  Two threads may race
         # the build: each publishes a complete pattern of this snapshot,
         # and a view of either is correct (the benign race of ``index``).
@@ -162,7 +166,8 @@ class IndexedDocument:
     @classmethod
     def patched(cls, prev: "IndexedDocument", tree: XTree,
                 ops: Sequence[dict], *,
-                max_cached_queries: int = 256) -> "IndexedDocument | None":
+                query_cache: LRUCache | None = None,
+                ) -> "IndexedDocument | None":
         """A fresh index equal to rebuilding ``tree``, built by splicing
         ``prev``'s columns along the edit-log ``ops`` — or ``None`` when
         patching is not worthwhile (caller rebuilds).
@@ -397,7 +402,8 @@ class IndexedDocument:
         out._label_positions = by_label
         out._all_positions = (array("l", range(len(nodes)))
                               if spliced else prev._all_positions)
-        out._query_cache = LRUCache(max_cached_queries)
+        out._query_cache = query_cache if query_cache is not None \
+            else LRUCache(256)
         out._pattern = None
         out._views = {}
         return out
@@ -532,10 +538,10 @@ class IndexedDocument:
 
         ``key`` is the query's canonical form, if the caller already has
         it: the batch evaluator canonicalises a hypothesis **once** per
-        workload instead of once per (query, document) pair, and process
-        workers ship these positions back across the pickle boundary
-        (positions are stable for a fixed tree version, so the parent
-        maps them onto its own node objects).
+        workload instead of once per (query, document) pair.  Positions
+        are stable for a fixed tree version, so the serving tier ships
+        them over the wire and the client maps them onto its own node
+        objects.
         """
         if key is None:
             key = query.canonical()
@@ -595,9 +601,6 @@ class IndexedDocument:
     def cache_stats(self) -> dict[str, int]:
         stats: dict[str, int] = self._query_cache.stats()
         return stats
-
-    def reset_cache_stats(self) -> None:
-        self._query_cache.reset_stats()
 
     def __repr__(self) -> str:
         return (f"<IndexedDocument |t|={len(self.nodes)} "

@@ -93,7 +93,8 @@ def _build_csr(pairs: Sequence[tuple[int, int]], n: int) -> Csr:
 class IndexedGraph:
     """One-time CSR adjacency snapshot over a graph, plus RPQ caches."""
 
-    def __init__(self, graph: Graph, *, max_cached_results: int = 1024,
+    def __init__(self, graph: Graph, *,
+                 reachable_cache: LRUCache | None = None,
                  nfa_cache: LRUCache | None = None) -> None:
         # Weak back-reference: see IndexedDocument — a strong ref would
         # pin the weakly-keyed engine map entry forever.
@@ -128,7 +129,10 @@ class IndexedGraph:
         # Usually the Engine's shared compiled-NFA cache, so the same
         # query is compiled once per process, not once per graph.
         self._nfas = nfa_cache if nfa_cache is not None else LRUCache(256)
-        self._reachable = LRUCache(max_cached_results)
+        # Like IndexedDocument's query cache: an engine passes a fresh
+        # one that also counts every lookup into its engine-wide totals.
+        self._reachable = reachable_cache if reachable_cache is not None \
+            else LRUCache(1024)
         self._words = LRUCache(128)
 
     @property
@@ -144,7 +148,8 @@ class IndexedGraph:
 
     @classmethod
     def patched(cls, prev: "IndexedGraph", graph: Graph,
-                ops: Sequence[dict], *, max_cached_results: int = 1024,
+                ops: Sequence[dict], *,
+                reachable_cache: LRUCache | None = None,
                 nfa_cache: LRUCache | None = None,
                 ) -> "IndexedGraph | None":
         """A fresh index over ``graph`` built from ``prev`` plus the
@@ -246,7 +251,8 @@ class IndexedGraph:
         out._rcsr = rcsr
         out._adj_bits = adj_bits
         out._nfas = nfa_cache if nfa_cache is not None else LRUCache(256)
-        out._reachable = LRUCache(max_cached_results)
+        out._reachable = reachable_cache if reachable_cache is not None \
+            else LRUCache(1024)
         out._words = LRUCache(128)
         return out
 
@@ -384,15 +390,6 @@ class IndexedGraph:
                                                max_length=max_length,
                                                limit=limit)))
         return list(words)
-
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> dict[str, int]:
-        stats: dict[str, int] = self._reachable.stats()
-        return stats
-
-    def reset_cache_stats(self) -> None:
-        self._reachable.reset_stats()
-        self._words.reset_stats()
 
     def __repr__(self) -> str:
         return (f"<IndexedGraph |V|={len(self.vertices)} "

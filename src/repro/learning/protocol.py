@@ -81,8 +81,6 @@ class SessionStats:
     questions: int = 0
     implied_positive: int = 0
     implied_negative: int = 0
-    candidates_considered: int = 0
-    notes: list[str] = field(default_factory=list)
     #: The question sequence: one hashable descriptor per question asked,
     #: in order (document/node positions, row reprs, words — whatever the
     #: session deems stable).  The backend-invariance suites compare
@@ -94,14 +92,6 @@ class SessionStats:
     def labels_saved(self) -> int:
         """Labels the user did *not* have to provide (propagated for free)."""
         return self.implied_positive + self.implied_negative
-
-    def merge(self, other: "SessionStats") -> None:
-        self.questions += other.questions
-        self.implied_positive += other.implied_positive
-        self.implied_negative += other.implied_negative
-        self.candidates_considered += other.candidates_considered
-        self.notes.extend(other.notes)
-        self.asked.extend(other.asked)
 
 
 class InformativenessLedger:

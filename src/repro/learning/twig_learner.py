@@ -83,21 +83,9 @@ def learn_twig(
     pairs = _as_pairs(examples)
     if not pairs:
         raise LearningError("at least one positive example is required")
-    backend = as_backend(backend)
-
-    hypothesis: TwigQuery | None = None
-    exact = True
-    for tree, node in pairs:
-        canonical = backend.canonical_query(tree, node)
-        if hypothesis is None:
-            hypothesis = canonical
-        else:
-            hypothesis = product(hypothesis, canonical, practical=practical)
-        hypothesis, step_exact = anchor_repair(hypothesis)
-        exact = exact and step_exact
-        hypothesis = minimize(hypothesis)
-    assert hypothesis is not None
-    return LearnedTwig(hypothesis, exact, len(pairs))
+    *_, last = learn_twig_incremental(pairs, practical=practical,
+                                      backend=backend)
+    return last
 
 
 def learn_twig_incremental(

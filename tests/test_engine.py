@@ -390,6 +390,45 @@ def test_dead_instance_counters_are_retired_not_lost():
     assert stats["document_builds"] == 1
 
 
+def test_lookup_totals_span_patches_and_untracked_rebuilds():
+    # Every lookup counts into the engine's totals where it happens, so
+    # the totals are the sum over each index the instance ever had: the
+    # cold build, its patched successor, and the rebuild after an
+    # untracked invalidate().
+    engine = Engine()
+    doc = xml("<a><b/><b/></a>")
+    g = Graph()
+    g.add_edge("x", "a", "y")
+    twig_q = parse_twig("//b")
+    rpq_q = parse_regex("a")
+
+    def twice():
+        # One twig lookup per call, one RPQ lookup per source vertex:
+        # the first call of each misses, the second hits.
+        for _ in range(2):
+            engine.evaluate_twig(twig_q, doc)
+            engine.evaluate_rpq(rpq_q, g)
+
+    twice()  # cold indexes: twig 1+1, RPQ 2+2 (sources x, y)
+    doc.insert_subtree(doc.root, XNode("b"))  # tracked: patched
+    g.add_edge("y", "a", "z")                 # tracked: patched
+    twice()  # patched indexes: twig 1+1, RPQ 3+3 (sources x, y, z)
+    stats = engine.stats()
+    assert stats["document_patches"] == 1 and stats["graph_patches"] == 1
+    assert stats["document_builds"] == 2 and stats["graph_builds"] == 2
+    assert (stats["twig_query_hits"], stats["twig_query_misses"]) == (2, 2)
+    assert (stats["rpq_source_hits"], stats["rpq_source_misses"]) == (5, 5)
+    doc.invalidate()        # untracked: the edit log no longer covers it
+    engine.invalidate(g)    # the graph's index is dropped outright
+    engine.evaluate_twig(twig_q, doc)
+    engine.evaluate_rpq(rpq_q, g)
+    stats = engine.stats()
+    assert stats["document_builds"] == 3 and stats["graph_builds"] == 3
+    assert stats["index_patches"] == 2  # both rebuilds were cold
+    assert (stats["twig_query_hits"], stats["twig_query_misses"]) == (2, 3)
+    assert (stats["rpq_source_hits"], stats["rpq_source_misses"]) == (5, 8)
+
+
 def test_lru_reset_stats():
     cache = LRUCache(4)
     cache.put("k", 1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.learning.protocol import NodeExample, SessionStats, TwigOracle
+from repro.learning.protocol import NodeExample, TwigOracle
 from repro.twig.anchored import is_anchored
 from repro.twig.generator import canonical_query_for_node, random_twig
 from repro.twig.parse import parse_twig
@@ -41,16 +41,6 @@ def test_oracle_examples_from(people_doc):
     negatives = [e for e in examples if not e.positive]
     assert len(positives) == 2
     assert len(negatives) == 3
-
-
-def test_session_stats_merge():
-    a = SessionStats(questions=2, implied_positive=1, implied_negative=3)
-    b = SessionStats(questions=1, implied_positive=0, implied_negative=2,
-                     notes=["x"])
-    a.merge(b)
-    assert a.questions == 3
-    assert a.labels_saved == 6
-    assert a.notes == ["x"]
 
 
 def test_canonical_query_roundtrip():

@@ -241,6 +241,48 @@ def test_concurrent_cold_acquisitions_share_one_index_per_instance():
         assert indexes[0] is engine.document(doc)
 
 
+def test_lookup_totals_count_every_concurrent_lookup():
+    """Threads looking up in their own indexes all add to the engine's
+    two shared totals; with the switch interval at 1 µs, a lost update
+    would leave the totals short of the lookups made."""
+    engine = Engine()
+    n_threads, rounds = 6, 100
+    queries = [parse_twig(q) for q in ("//b", "/a/b", "//c", "/a/b/c")]
+    rpq_q = parse_regex("a+")
+    start = threading.Barrier(n_threads, timeout=10)
+
+    def worker():
+        docs = [xml("<a><b><c/></b><b/></a>") for _ in range(2)]
+        g = Graph()
+        g.add_edge("x", "a", "y")
+        g.add_edge("y", "a", "z")
+
+        def go():
+            start.wait()
+            for _ in range(rounds):
+                for doc in docs:
+                    for query in queries:
+                        engine.evaluate_twig(query, doc)  # one lookup
+                engine.evaluate_rpq(rpq_q, g)  # one lookup per vertex
+        return go
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads([worker() for _ in range(n_threads)])
+    finally:
+        sys.setswitchinterval(interval)
+    stats = engine.stats()
+    # Per thread, the first round misses once per (query, document) and
+    # per source vertex; every later lookup hits.
+    twig_misses = n_threads * 2 * len(queries)
+    rpq_misses = n_threads * 3
+    assert stats["twig_query_misses"] == twig_misses
+    assert stats["twig_query_hits"] == twig_misses * (rounds - 1)
+    assert stats["rpq_source_misses"] == rpq_misses
+    assert stats["rpq_source_hits"] == rpq_misses * (rounds - 1)
+
+
 def test_reset_engine_during_inflight_batches_is_safe():
     """Satellite regression: reset_engine() mid-batch must not crash workers."""
     reset_engine()
