@@ -3,6 +3,8 @@
 The evaluator needs three things of an automaton: epsilon-closed stepping
 (for the product construction with a graph), word acceptance (for path
 labelling), and determinised reachability — all small and explicit here.
+Stepping is memoised per automaton, so repeated acceptance checks walk a
+lazily built DFA.
 """
 
 from __future__ import annotations
@@ -15,7 +17,22 @@ EPS = None  # transition label for epsilon moves
 
 
 class NFA:
-    """A nondeterministic finite automaton with epsilon moves."""
+    """A nondeterministic finite automaton with epsilon moves.
+
+    ``initial()`` and ``step()`` are memoised per automaton: the memo maps
+    an epsilon-closed state set and a symbol to the next closed state set
+    (the initial set sits under ``(None, None)``), so it grows into the
+    part of the determinised automaton that callers actually reach, and
+    it dies with the automaton.  ``add_transition`` clears it, so an
+    automaton extended after use stays correct (a new state has no moves
+    and changes no entry).  ``start`` is set before first use.
+
+    The engine shares one compiled automaton across threads.  Every memo
+    entry is a pure function of its key, and a dict read or write is
+    atomic under the GIL, so two threads racing on one entry only compute
+    it twice.  Extending an automaton while another thread steps it is
+    not supported.
+    """
 
     def __init__(self) -> None:
         self.n_states = 0
@@ -23,6 +40,9 @@ class NFA:
         self.accept = 0
         # transitions[state] = list of (label_or_None, target)
         self.transitions: dict[int, list[tuple[str | None, int]]] = {}
+        # lock-free: each entry is a pure function of its key, and a dict get or set is atomic under the GIL, so a race only repeats work
+        self._memo: dict[tuple[frozenset[int] | None, str | None],
+                         frozenset[int]] = {}
 
     def new_state(self) -> int:
         s = self.n_states
@@ -32,6 +52,7 @@ class NFA:
 
     def add_transition(self, src: int, label: str | None, dst: int) -> None:
         self.transitions[src].append((label, dst))
+        self._memo.clear()
 
     # ------------------------------------------------------------------
     def epsilon_closure(self, states: Iterable[int]) -> frozenset[int]:
@@ -46,16 +67,24 @@ class NFA:
         return frozenset(out)
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        moved = {
-            t
-            for s in states
-            for label, t in self.transitions[s]
-            if label == symbol
-        }
-        return self.epsilon_closure(moved)
+        key = (states, symbol)
+        out = self._memo.get(key)
+        if out is None:
+            out = self.epsilon_closure(
+                t
+                for s in states
+                for label, t in self.transitions[s]
+                if label == symbol
+            )
+            self._memo[key] = out
+        return out
 
     def initial(self) -> frozenset[int]:
-        return self.epsilon_closure([self.start])
+        out = self._memo.get((None, None))
+        if out is None:
+            out = self._memo[(None, None)] = self.epsilon_closure(
+                [self.start])
+        return out
 
     def is_accepting(self, states: frozenset[int]) -> bool:
         return self.accept in states

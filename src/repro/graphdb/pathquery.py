@@ -74,13 +74,27 @@ class PathAtom:
 
 
 class PathQuery:
-    """A concatenation of path atoms."""
+    """A concatenation of path atoms.
 
-    __slots__ = ("atoms", "_nfa")
+    Immutable: its hash is computed once, in ``__init__``, and setting or
+    deleting an attribute raises :class:`AttributeError`, so the hash
+    cannot go stale.  Only the compiled NFA is filled in later, once.
+    """
+
+    __slots__ = ("atoms", "_nfa", "_hash")
 
     def __init__(self, atoms: Iterable[PathAtom] = ()) -> None:
-        object.__setattr__(self, "atoms", tuple(atoms))
+        atoms = tuple(atoms)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_nfa", None)
+        object.__setattr__(self, "_hash", hash(atoms))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PathQuery is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"PathQuery is immutable: cannot delete {name!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -180,7 +194,7 @@ class PathQuery:
         return self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        return self._hash
 
     def __str__(self) -> str:
         if not self.atoms:

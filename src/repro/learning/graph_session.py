@@ -75,7 +75,8 @@ class InteractivePathSession:
         # a word already implied negative is not probed again.  The
         # candidate enumeration is backend-served and cached per (graph,
         # endpoints) — always client-side pool construction, even on a
-        # remote backend.
+        # remote backend — and it explores only the partial paths that
+        # can still reach the target within ``max_length`` edges.
         self.backend = as_backend(backend)
         self.candidates = self.backend.words_between(
             graph, source, target, max_length=max_length,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
-from repro.graphdb.nfa import compile_regex
+from repro.graphdb.nfa import EPS, NFA, compile_regex
 from repro.graphdb.regex import (
     Concat,
     Epsilon,
@@ -102,6 +102,33 @@ def test_nfa_agrees_with_python_re(regex, word):
     nfa = compile_regex(regex)
     pattern = re.compile(_to_python_re(regex) + r"\Z")
     assert nfa.accepts(tuple(word)) == bool(pattern.match("".join(word)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regexes(), st.lists(st.lists(st.sampled_from(ALPHABET), max_size=6),
+                           max_size=12))
+def test_one_automaton_answers_many_words_like_python_re(regex, words):
+    """Later words step through the memo the earlier words filled."""
+    nfa = compile_regex(regex)
+    pattern = re.compile(_to_python_re(regex) + r"\Z")
+    for word in words:
+        assert nfa.accepts(tuple(word)) == bool(pattern.match("".join(word)))
+
+
+def test_extending_a_used_automaton_clears_its_memo():
+    nfa = NFA()
+    s, t = nfa.new_state(), nfa.new_state()
+    nfa.start, nfa.accept = s, t
+    nfa.add_transition(s, "a", t)
+    assert nfa.accepts(("a",))
+    assert not nfa.accepts(("b",))  # memoises the step of {s} on "b"
+    assert not nfa.accepts(("a", "c"))  # and of {t} on "c"
+    nfa.add_transition(s, "b", t)
+    assert nfa.accepts(("b",))
+    u = nfa.new_state()
+    nfa.add_transition(t, "c", u)
+    nfa.add_transition(u, EPS, t)
+    assert nfa.accepts(("a", "c", "c"))
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,9 @@ from repro.schema.multiplicity import Multiplicity
 
 import pytest
 
-from repro.errors import ParseError
+from repro.engine import Engine
+from repro.errors import LearningError, ParseError
+from repro.learning.graph_session import InteractivePathSession
 
 
 def line_graph():
@@ -67,6 +69,36 @@ def test_enumerate_words_distinct():
     words = enumerate_words(g, 0, 3, max_length=4)
     assert len(words) == len(set(words))
     assert ("a", "b") in words
+
+
+def shortcut_graph():
+    g = Graph()
+    g.add_edge(0, "a", 1)
+    g.add_edge(1, "b", 3)
+    g.add_edge(0, "c", 3)
+    return g
+
+
+def test_zero_word_limit_returns_no_words():
+    g = shortcut_graph()
+    assert enumerate_words(g, 0, 3, limit=1) == [("c",)]
+    assert enumerate_words(g, 0, 3, limit=0) == []
+    assert enumerate_words(g, 0, 3, limit=-1) == []
+    assert Engine().words_between(g, 0, 3, limit=0) == []
+
+
+def test_zero_path_limit_returns_no_paths():
+    g = shortcut_graph()
+    query = parse_regex("a.b|c")
+    assert find_paths(query, g, 0, 3, max_paths=1) == [((0, 3), ("c",))]
+    assert find_paths(query, g, 0, 3, max_paths=0) == []
+    assert find_paths(query, g, 0, 3, max_paths=-1) == []
+
+
+def test_path_session_without_candidates_raises():
+    with pytest.raises(LearningError):
+        InteractivePathSession(shortcut_graph(), 0, 3,
+                               PathQuery.parse("c"), max_candidates=0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,3 +159,15 @@ def test_sample_words_accepted():
 def test_min_length():
     q = PathQuery.parse("h+.n?.t")
     assert q.min_length == 2
+
+
+def test_pathquery_is_immutable_and_hashes_by_atoms():
+    q = PathQuery.parse("h+.(n|l)?")
+    same = PathQuery.parse("h+.(l|n)?")
+    assert q == same and hash(q) == hash(same) == hash(q.atoms)
+    with pytest.raises(AttributeError):
+        q.atoms = ()
+    with pytest.raises(AttributeError):
+        del q.atoms
+    q.nfa()  # the one lazily filled slot
+    assert hash(q) == hash(same)

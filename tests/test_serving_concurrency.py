@@ -98,6 +98,44 @@ def test_canonical_views_stay_correct_under_racing_first_calls():
                     is engine.canonical_query(doc, node))
 
 
+def test_shared_automaton_answers_correctly_under_racing_steps():
+    """Threads step one engine-cached NFA whose memo starts empty; with
+    the switch interval at 1 µs they race on its entries, and every
+    answer still equals a fresh automaton's.  The memo fills within the
+    first few words, so the race repeats on fresh automata."""
+    import itertools
+
+    from repro.graphdb.nfa import compile_regex
+
+    text = "highway+.(national|local)?"
+    labels = ("highway", "national", "local", "train")
+    words = [w for n in range(5) for w in itertools.product(labels, repeat=n)]
+    regex = PathQuery.parse(text).to_regex()
+    expected = [compile_regex(regex).accepts(w) for w in words]
+    n_threads = 6
+    start = threading.Barrier(n_threads, timeout=10)
+    wrong: list[int] = []
+
+    def worker(nfa):
+        def go():
+            start.wait()
+            answers = [nfa.accepts(w) for w in words]
+            if answers != expected:
+                wrong.append(1)
+        return go
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            # A fresh query compiles a fresh automaton: its memo is empty.
+            nfa = Engine().nfa(PathQuery.parse(text))
+            _run_threads([worker(nfa) for _ in range(n_threads)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+
+
 # ---------------------------------------------------------------------------
 # LRUCache under contention
 # ---------------------------------------------------------------------------
