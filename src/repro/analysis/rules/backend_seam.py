@@ -14,10 +14,7 @@ which *is* the seam — may not import ``repro.engine`` (any submodule,
 any name), may not import the engine-backed evaluation wrappers from
 ``repro.twig.semantics`` / ``repro.graphdb.rpq``, and may not call
 ``get_engine()`` / ``Engine(...)`` or the engine's evaluation methods
-(``evaluate_twig`` / ``evaluate_rpq``) directly.  Engine-adjacent
-utilities the learning layer legitimately needs (e.g.
-:class:`~repro.engine.cache.LRUCache`) are re-exported by
-``repro.learning.backend`` for exactly this reason.
+(``evaluate_twig`` / ``evaluate_rpq``) directly.
 """
 
 from __future__ import annotations

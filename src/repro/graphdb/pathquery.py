@@ -165,26 +165,7 @@ class PathQuery:
     def sample_words(self, max_extra: int = 8) -> list[Word]:
         """A finite probe set of accepted words (minimal + inflated)."""
         words: set[Word] = set()
-
-        def go(idx: int, prefix: tuple[str, ...], budget: int) -> None:
-            if idx == len(self.atoms):
-                words.add(prefix)
-                return
-            atom = self.atoms[idx]
-            lo = atom.multiplicity.min
-            hi_candidates = [lo]
-            if atom.interval_unbounded() or lo == 0:
-                hi_candidates.append(lo + 1)
-            if atom.interval_unbounded():
-                hi_candidates.append(lo + 2)
-            for count in hi_candidates:
-                if count - lo > budget:
-                    continue
-                for label in sorted(atom.labels):
-                    go(idx + 1, prefix + (label,) * count,
-                       budget - (count - lo))
-
-        go(0, (), max_extra)
+        _sample_words(self.atoms, 0, (), max_extra, words)
         return sorted(words)
 
     # ------------------------------------------------------------------
@@ -203,3 +184,26 @@ class PathQuery:
 
     def __repr__(self) -> str:
         return f"PathQuery({str(self)!r})"
+
+
+def _sample_words(atoms: Sequence[PathAtom], idx: int, prefix: Word,
+                  budget: int, words: set[Word]) -> None:
+    # Module-level with its state as arguments: a recursive inner
+    # function would close over itself and keep the word set in a
+    # reference cycle until the cyclic collector runs.
+    if idx == len(atoms):
+        words.add(prefix)
+        return
+    atom = atoms[idx]
+    lo = atom.multiplicity.min
+    hi_candidates = [lo]
+    if atom.interval_unbounded() or lo == 0:
+        hi_candidates.append(lo + 1)
+    if atom.interval_unbounded():
+        hi_candidates.append(lo + 2)
+    for count in hi_candidates:
+        if count - lo > budget:
+            continue
+        for label in sorted(atom.labels):
+            _sample_words(atoms, idx + 1, prefix + (label,) * count,
+                          budget - (count - lo), words)

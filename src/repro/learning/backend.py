@@ -83,7 +83,6 @@ Candidate = tuple[XTree, XNode]
 
 __all__ = [
     "EvaluationBackend",
-    "LRUCache",
     "LocalBackend",
     "RemoteBackend",
     "Workload",

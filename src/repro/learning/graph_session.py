@@ -7,13 +7,12 @@ gather as many information as possible with few interactions."
 
 The session enumerates candidate paths between the chosen endpoints (label
 words, shortest first), then repeatedly proposes the most promising
-*informative* candidate:
-
-* a word the current hypothesis already accepts is *implied positive*
-  (every generalisation of the positives accepts it too) — uninformative;
-* a word whose inclusion would force the hypothesis to accept a known
-  negative is *implied negative* — uninformative;
-* remaining words are ranked by workload priors (then shorter first).
+informative word, ranked by workload priors (then shorter first).  Which
+words are informative — neither accepted by the hypothesis (implied
+positive) nor forcing it to accept a known negative (implied negative) —
+is decided by the per-run
+:class:`~repro.learning.protocol.InformativenessLedger`, which also holds
+the hypothesis and the negatives.
 
 The loop stops when no informative candidate remains; the metric is the
 number of questions, with/without priors (experiment E8).
@@ -67,16 +66,10 @@ class InteractivePathSession:
         self.graph = graph
         self.goal = goal
         self.priors = priors
-        # The per-interaction acceptance scan over all pending words runs
-        # as one complete backend batch.  Then each rejected word's
-        # implied-negative check goes through the run's ledger: while the
-        # hypothesis is unchanged, a word's widened query is probed only
-        # against the negatives it has not yet been checked against, and
-        # a word already implied negative is not probed again.  The
-        # candidate enumeration is backend-served and cached per (graph,
-        # endpoints) — always client-side pool construction, even on a
-        # remote backend — and it explores only the partial paths that
-        # can still reach the target within ``max_length`` edges.
+        # The candidate enumeration is backend-served and cached per
+        # (graph, endpoints) — always client-side pool construction, even
+        # on a remote backend — and it explores only the partial paths
+        # that can still reach the target within ``max_length`` edges.
         self.backend = as_backend(backend)
         self.candidates = self.backend.words_between(
             graph, source, target, max_length=max_length,
@@ -91,51 +84,27 @@ class InteractivePathSession:
     def _accepts(self, query: PathQuery, word: Word) -> bool:
         return self.backend.accepts(query, word)
 
-    def _widen(self, hypothesis: PathQuery, word: Word) -> PathQuery:
-        return lgg_path(hypothesis, normalize(PathQuery.of_word(word)))
+    def _widen(self, hypothesis: PathQuery | None, word: Word) -> PathQuery:
+        positive = normalize(PathQuery.of_word(word))
+        if hypothesis is None:
+            return positive
+        return lgg_path(hypothesis, positive)
 
     def _rank(self, words: list[Word]) -> list[Word]:
         if self.priors is not None:
             return [tuple(w) for w in self.priors.rank(words)]
         return sorted(words, key=lambda w: (len(w), w))
 
-    def _informative_flags(self, ledger: InformativenessLedger,
-                           hypothesis: PathQuery | None,
-                           pending: list[Word],
-                           negatives: list[Word]) -> list[bool]:
-        """One acceptance round: which pending words stay informative?
-
-        One complete acceptance batch checks every pending word; then
-        each rejected word's implied-negative check runs, in pool order,
-        probing only what the ledger has not yet seen.
-        """
-        if hypothesis is None:
-            return [True] * len(pending)
-        accepted = self.backend.accepts_batch(hypothesis, pending)
-        flags = []
-        for word, acc in zip(pending, accepted):
-            if acc:
-                ledger.forget(word)
-                flags.append(False)
-            else:
-                flags.append(not ledger.implied_negative(
-                    word, hypothesis, negatives))
-        return flags
-
     # ------------------------------------------------------------------
     def run(self, *, max_questions: int | None = None) -> PathSessionResult:
         stats = SessionStats()
-        hypothesis: PathQuery | None = None
-        negatives: list[Word] = []
         pending = list(self.candidates)
         converged_at: int | None = None
-        ledger = InformativenessLedger(self._widen, self.backend.accepts_any)
+        ledger = InformativenessLedger(self._widen, self.backend.accepts_any,
+                                       self.backend.accepts_batch)
 
         while True:
-            # One acceptance batch per interaction over all pending words.
-            flags = self._informative_flags(ledger, hypothesis, pending,
-                                            negatives)
-            informative = [w for w, flag in zip(pending, flags) if flag]
+            informative = ledger.informative(pending)
             if not informative:
                 break
             if max_questions is not None and stats.questions >= max_questions:
@@ -146,28 +115,18 @@ class InteractivePathSession:
             pending.remove(word)
             stats.questions += 1
             stats.asked.append(word)
-            if self._accepts(self.goal, word):
-                positive = normalize(PathQuery.of_word(word))
-                hypothesis = positive if hypothesis is None \
-                    else lgg_path(hypothesis, positive)
-                if (converged_at is None
-                        and hypothesis.generalizes(self.goal)
-                        and self.goal.generalizes(hypothesis)):
-                    converged_at = stats.questions
-            else:
-                negatives.append(word)
+            positive = self._accepts(self.goal, word)
+            ledger.learn(word, positive)
+            hypothesis = ledger.hypothesis
+            if (positive and converged_at is None
+                    and hypothesis.generalizes(self.goal)
+                    and self.goal.generalizes(hypothesis)):
+                converged_at = stats.questions
             if hypothesis is not None and pending:
                 # Between rounds: the next acceptance scan asks exactly
                 # this batch.
                 self.backend.prefetch(Workload.accepts(hypothesis, pending))
 
-        # Final label propagation: one batch, then the ledger's verdicts.
-        if hypothesis is not None:
-            accepted = self.backend.accepts_batch(hypothesis, pending)
-            for word, acc in zip(pending, accepted):
-                if acc:
-                    stats.implied_positive += 1
-                elif ledger.implied_negative(word, hypothesis, negatives):
-                    stats.implied_negative += 1
-        return PathSessionResult(hypothesis, stats, len(self.candidates),
-                                 converged_at)
+        ledger.count_implied(pending, stats)
+        return PathSessionResult(ledger.hypothesis, stats,
+                                 len(self.candidates), converged_at)

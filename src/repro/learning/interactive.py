@@ -32,11 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.errors import LearningError
-from repro.learning.backend import (
-    EvaluationBackend,
-    LRUCache,
-    as_backend,
-)
+from repro.learning.backend import EvaluationBackend, as_backend
 from repro.learning.join_learner import (
     JoinVersionSpace,
     PairExample,
@@ -161,13 +157,11 @@ class InteractiveJoinSession:
         pool = [(lrow, rrow) for lrow in left for rrow in right]
         pool.sort(key=repr)
         if max_pool is not None and len(pool) > max_pool:
-            pool = r.sample(pool, max_pool)
+            pool = r.sample(pool, max(max_pool, 0))
+        if not pool:
+            raise LearningError("empty candidate pool")
         self.pool = pool
-        # Agreement sets are pure in (left_row, right_row) and re-queried
-        # for every pending pair on every round — serve them from an
-        # engine cache sized to the pool's pair universe.
-        self.space = JoinVersionSpace(
-            left, right, eq_cache=LRUCache(max(4 * len(pool), 1024)))
+        self.space = JoinVersionSpace(left, right)
 
     def _answer(self, pair: Pair) -> bool:
         lrow, rrow = pair

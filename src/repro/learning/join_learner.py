@@ -61,11 +61,13 @@ class JoinVersionSpace:
 
     Maintains ``Θ`` (the most specific hypothesis) and the agreement sets
     of negatives; all queries about the space are set algebra on those.
+    ``eq`` memoises each pair's agreement set in a dict owned by the
+    space: it is a pure function of the fixed relations and universe, and
+    an interactive session re-reads every pending pair's set every round.
     """
 
     def __init__(self, left: Relation, right: Relation,
-                 universe: Iterable[AttributePair] | None = None,
-                 eq_cache=None) -> None:
+                 universe: Iterable[AttributePair] | None = None) -> None:
         self.left = left
         self.right = right
         self.universe: frozenset[AttributePair] = (
@@ -75,21 +77,15 @@ class JoinVersionSpace:
         self.theta_max: frozenset[AttributePair] = self.universe
         self.negative_eqs: list[frozenset[AttributePair]] = []
         self.n_positives = 0
-        # Optional engine cache (repro.engine.LRUCache-compatible) for
-        # agreement sets: eq() is a pure function of the fixed relations
-        # and universe, and interactive strategies re-query the same pairs
-        # every round.
-        self._eq_cache = eq_cache
+        self._eqs: dict[tuple[Row, Row], JoinPredicate] = {}
 
     # ------------------------------------------------------------------
     def eq(self, left_row: Row, right_row: Row) -> JoinPredicate:
-        if self._eq_cache is None:
-            return agreement_pairs(self.left, self.right, left_row,
-                                   right_row, self.universe)
-        return self._eq_cache.get_or_compute(
-            (left_row, right_row),
-            lambda: agreement_pairs(self.left, self.right, left_row,
-                                    right_row, self.universe))
+        agreement = self._eqs.get((left_row, right_row))
+        if agreement is None:
+            agreement = self._eqs[left_row, right_row] = agreement_pairs(
+                self.left, self.right, left_row, right_row, self.universe)
+        return agreement
 
     def add(self, example: PairExample) -> None:
         self._fold(example, self.eq(example.left_row, example.right_row))

@@ -7,9 +7,11 @@ about next and counts interactions (each one is a paid Human Intelligence
 Task in the crowdsourcing reading of the paper).
 
 This module defines the example record for XML (``NodeExample``), the
-simulated user (``TwigOracle``), and the interaction bookkeeping
-(``SessionStats``, ``InformativenessLedger``) shared by the interactive
-sessions in the library.
+simulated user (``TwigOracle``), the interaction accounting
+(``SessionStats``) and the run state of a hypothesis session
+(``InformativenessLedger``): the twig and path sessions keep their
+hypothesis, their negatives and each candidate's last probe in one
+ledger per ``run()``, and it runs their classification rounds.
 """
 
 from __future__ import annotations
@@ -95,35 +97,81 @@ class SessionStats:
 
 
 class InformativenessLedger:
-    """What each pending candidate's last implied-negative probe established.
+    """The run state of a hypothesis session: its ``hypothesis``
+    (``None`` until the first positive answer), its ``negatives`` and what
+    each pending candidate's last implied-negative probe established.
 
-    A candidate is *implied negative* when its *widened query* (the
-    hypothesis generalised with that candidate) selects or accepts a
-    known negative.  A negative answer keeps the hypothesis object and a
-    positive answer replaces it, so per candidate the ledger holds the
-    hypothesis it widened against, the widened query (``None`` once that
-    query selected a negative: *settled*) and how many negatives the query
-    has been checked against.  Each probe re-derives only what the newest
+    :meth:`learn` folds in an answer: a negative answer keeps the
+    hypothesis object, a positive answer replaces it with
+    ``widen(hypothesis, candidate)``.  :meth:`informative` is one round:
+    one ``members(hypothesis, pending)`` batch, whose selected candidates
+    are *implied positive* (every generalisation selects them too), then
+    each unselected candidate's check, in pool order.  A candidate is
+    *implied negative* when its *widened query* (the hypothesis
+    generalised with it) selects or accepts a known negative
+    (``probe``).  Per candidate the ledger holds the hypothesis it
+    widened against, the widened query (``None`` once that query selected
+    a negative: *settled*) and how many negatives the query has been
+    checked against, so each probe re-derives only what the newest
     answer can change:
 
     * same hypothesis object, settled: implied negative, not probed;
-    * same hypothesis object, not settled: probe the stored widened query
-      against the negatives added since, and send nothing when there are
-      none;
+    * same hypothesis object, not settled: ``probe`` the stored widened
+      query against the negatives added since, and send nothing when
+      there are none;
     * new hypothesis: re-widen and probe against every negative.
 
     Each rule gives the verdict of widening and probing every negative
-    from scratch.  A session creates one ledger per ``run()``, so it dies
-    with the run.
+    from scratch.  A session creates one ledger per ``run()`` as a local:
+    the ledger holds the session's bound methods, so keeping it on the
+    session would make a reference cycle.
     """
 
-    __slots__ = ("_widen", "_probe", "_entries")
+    __slots__ = ("_widen", "_probe", "_members", "_entries",
+                 "hypothesis", "negatives")
 
     def __init__(self, widen: Callable[[Any, Any], Any],
-                 probe: Callable[[Any, Sequence[Any]], bool]) -> None:
+                 probe: Callable[[Any, Sequence[Any]], bool],
+                 members: Callable[[Any, Sequence[Any]], list[bool]]) -> None:
         self._widen = widen
         self._probe = probe
+        self._members = members
         self._entries: dict[Hashable, list[Any]] = {}
+        self.hypothesis: Any = None
+        self.negatives: list[Any] = []
+
+    def learn(self, candidate: Hashable, positive: bool) -> None:
+        """Fold the user's answer about ``candidate`` into the run."""
+        if positive:
+            self.hypothesis = self._widen(self.hypothesis, candidate)
+        else:
+            self.negatives.append(candidate)
+
+    def informative(self, pending: Sequence[Hashable]) -> list[Hashable]:
+        """The pending candidates still informative, in pool order."""
+        if self.hypothesis is None:
+            return list(pending)
+        selected = self._members(self.hypothesis, pending)
+        out = []
+        for candidate, sel in zip(pending, selected):
+            if sel:
+                self._entries.pop(candidate, None)
+            elif not self.implied_negative(candidate, self.hypothesis,
+                                           self.negatives):
+                out.append(candidate)
+        return out
+
+    def count_implied(self, pending: Sequence[Hashable],
+                      stats: SessionStats) -> None:
+        """Final propagation: count the unasked candidates' implied labels
+        (every entry is already up to date, so nothing more is probed)."""
+        if self.hypothesis is None:
+            return
+        selected = self._members(self.hypothesis, pending)
+        stats.implied_positive += sum(selected)
+        stats.implied_negative += sum(
+            self.implied_negative(candidate, self.hypothesis, self.negatives)
+            for candidate, sel in zip(pending, selected) if not sel)
 
     def implied_negative(self, candidate: Hashable, hypothesis: Any,
                          negatives: Sequence[Any]) -> bool:
@@ -144,7 +192,3 @@ class InformativenessLedger:
             entry[1] = None
             return True
         return False
-
-    def forget(self, candidate: Hashable) -> None:
-        """Drop the entry of a candidate the hypothesis selects."""
-        self._entries.pop(candidate, None)

@@ -60,29 +60,29 @@ def prune_schema_implied(query: TwigQuery,
     result = query.copy()
     size_before = query.size()
     spine_ids = {id(n) for _, n in result.spine()}
-    removed = 0
-
-    def prune(n: TwigNode) -> None:
-        nonlocal removed
-        kept: list[tuple] = []
-        for axis, child in n.branches:
-            if id(child) in spine_ids:
-                kept.append((axis, child))
-                continue
-            if filter_implied_at(graph, n.label, axis, child):
-                removed += 1
-                continue
-            kept.append((axis, child))
-        n.branches = kept
-        for _, child in n.branches:
-            prune(child)
-
-    prune(result.root)
+    removed = _prune(result.root, graph, spine_ids)
     # Pruning can leave a filter branch that a sibling (often the spine)
     # now subsumes — e.g. ``people[person]/person`` after the implied
     # ``[name]`` inside the filter was dropped.  Re-minimise.
     result = minimize(result)
     return SchemaAwareResult(result, size_before, result.size(), removed)
+
+
+def _prune(n: TwigNode, graph: DependencyGraph, spine_ids: set[int]) -> int:
+    # Module-level with its state as arguments: a recursive inner
+    # function would close over itself and keep the dependency graph in a
+    # reference cycle until the cyclic collector runs.
+    kept: list[tuple] = []
+    removed = 0
+    for axis, child in n.branches:
+        if id(child) not in spine_ids and filter_implied_at(
+                graph, n.label, axis, child):
+            removed += 1
+        else:
+            kept.append((axis, child))
+    n.branches = kept
+    return removed + sum(_prune(child, graph, spine_ids)
+                         for _, child in kept)
 
 
 def learn_twig_schema_aware(

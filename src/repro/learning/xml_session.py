@@ -2,38 +2,21 @@
 
 Section 2 closes with: "We also want to develop a practical system able to
 learn twig queries from interaction with the user."  This module is that
-system, mirroring the interactive protocol of the relational and graph
-sessions:
+system.  The pool is a corpus of documents' nodes (optionally restricted
+by label, as a UI would); informative nodes are proposed smallest-document
+first (cheap for the user to inspect), until none remain or the question
+budget runs out.  The learned query is the schema-aware-pruned hypothesis
+when a schema is supplied.
 
-* the pool is a corpus of documents' nodes (optionally restricted by
-  label, as a UI would);
-* after each answer the session propagates *implied* labels — a node the
-  current least-general hypothesis selects is implied positive (every
-  consistent generalisation selects it too), and a node whose addition as
-  a positive would force the hypothesis to select a known negative is
-  implied negative;
-* remaining informative nodes are proposed smallest-document first (cheap
-  for the user to inspect), until none remain or the question budget runs
-  out.
-
-The learned query is the schema-aware-pruned hypothesis when a schema is
-supplied.
-
-Each round classifies every pending candidate against the current
-hypothesis through the session's
-:class:`~repro.learning.backend.EvaluationBackend` as one complete batch
-(the hypothesis is evaluated once per distinct document, not once per
-candidate).  Then each unselected candidate is checked for implied
-negativity, in pool order, through a per-run
-:class:`~repro.learning.protocol.InformativenessLedger`: the ledger
-re-derives only what the newest answer can change.  After a negative
-answer a candidate's widened hypothesis is probed against that one new
-negative; after a positive answer it is re-widened and probed against
-every negative; a candidate already implied negative is not probed
-again.  Every request completes before the next starts, so the session
-accepts any backend — local or a remote server — over one connection
-and without changing a single question (``SessionStats.asked`` records
-the sequence so the invariance suites can assert exactly that).
+The hypothesis, the implied labels and each round's classification are
+the per-run :class:`~repro.learning.protocol.InformativenessLedger`'s.
+The session supplies the widening (a product with the node's canonical
+query), its backend's selection batch and probe, the question order and
+the question descriptors.  Every request completes before the next
+starts, so the session accepts any
+:class:`~repro.learning.backend.EvaluationBackend` — local or a remote
+server — without changing a single question (``SessionStats.asked``
+records the sequence so the invariance suites can assert exactly that).
 """
 
 from __future__ import annotations
@@ -126,7 +109,7 @@ class InteractiveTwigSession:
                     self._descriptor[id(n)] = (d, p)
                     pool.append((doc, n))
         if max_pool is not None:
-            pool = pool[:max_pool]
+            pool = pool[:max(max_pool, 0)]
         if not pool:
             raise LearningError("empty candidate pool (label filter?)")
         self.pool = pool
@@ -148,28 +131,6 @@ class InteractiveTwigSession:
         repaired, _ = anchor_repair(merged)
         return minimize(repaired)
 
-    def _informative_flags(self, ledger: InformativenessLedger,
-                           hypothesis: TwigQuery | None,
-                           pending: list[Candidate],
-                           negatives: list[Candidate]) -> list[bool]:
-        """One classification round: which pending candidates remain
-        informative under the current hypothesis?
-
-        One complete selection batch classifies every pending candidate;
-        then each unselected candidate's implied-negative check runs, in
-        pool order, probing only what the ledger has not yet seen.
-        """
-        selected = self.backend.selects_batch(hypothesis, pending)
-        flags = []
-        for candidate, sel in zip(pending, selected):
-            if sel:
-                ledger.forget(candidate)
-                flags.append(False)
-            else:
-                flags.append(not ledger.implied_negative(
-                    candidate, hypothesis, negatives))
-        return flags
-
     def _question_order(self) -> dict[int, tuple[int, int]]:
         """Sort key per pool node: document size, then node depth."""
         sizes = {id(doc): doc.size() for doc in self.documents}
@@ -179,26 +140,18 @@ class InteractiveTwigSession:
     # ------------------------------------------------------------------
     def run(self, *, max_questions: int | None = None) -> TwigSessionResult:
         stats = SessionStats()
-        hypothesis: TwigQuery | None = None
-        negatives: list[Candidate] = []
         pending = list(self.pool)
         # One product memo per hypothesis: re-widening every pending
         # candidate after a positive answer computes each (hypothesis
         # filter, document subtree) product once, not once per candidate.
         memo = ProductMemo(self.practical)
         ledger = _TwigLedger(lambda h, c: self._extend(h, c, memo),
-                             self.backend.selects_any)
+                             self.backend.selects_any,
+                             self.backend.selects_batch)
         order = self._question_order()
 
         while True:
-            # One batch per interaction: the hypothesis is evaluated once
-            # per distinct document, then every pending candidate is
-            # classified against the answer sets.
-            informative = [
-                c for c, flag in zip(pending, self._informative_flags(
-                    ledger, hypothesis, pending, negatives))
-                if flag
-            ]
+            informative = ledger.informative(pending)
             if not informative:
                 break
             if max_questions is not None and stats.questions >= max_questions:
@@ -208,27 +161,20 @@ class InteractiveTwigSession:
             pending.remove(candidate)
             stats.questions += 1
             stats.asked.append(self._descriptor[id(candidate[1])])
-            if self.oracle.label(*candidate):
-                hypothesis = self._extend(hypothesis, candidate, memo)
+            positive = self.oracle.label(*candidate)
+            ledger.learn(candidate, positive)
+            if positive:
+                # The ledger's widening reads ``memo`` when it runs: the
+                # answer was folded with the old hypothesis's memo.
                 memo = ProductMemo(self.practical)
-            else:
-                negatives.append(candidate)
-            if hypothesis is not None and pending:
+            if ledger.hypothesis is not None and pending:
                 # Between rounds: the next classification round asks for
                 # exactly this batch.
-                self.backend.prefetch(
-                    Workload.twig(hypothesis, distinct_documents(pending)))
+                self.backend.prefetch(Workload.twig(
+                    ledger.hypothesis, distinct_documents(pending)))
 
-        # Final label propagation: one batch, then the ledger's verdicts
-        # (every entry is already up to date, so nothing more is probed).
-        selected = self.backend.selects_batch(hypothesis, pending)
-        for candidate, sel in zip(pending, selected):
-            if sel:
-                stats.implied_positive += 1
-            elif ledger.implied_negative(candidate, hypothesis, negatives):
-                stats.implied_negative += 1
-
-        final = hypothesis
+        ledger.count_implied(pending, stats)
+        final = ledger.hypothesis
         if final is not None and self.schema is not None:
             from repro.learning.schema_aware import prune_schema_implied
 

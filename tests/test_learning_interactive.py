@@ -1,7 +1,15 @@
 """Interactive join sessions: convergence, propagation, strategy ordering."""
 
+import gc
+
 import pytest
 
+from repro.datasets.xmark import generate_xmark
+from repro.engine import Engine
+from repro.graphdb.geo import make_geo_graph
+from repro.graphdb.pathquery import PathQuery
+from repro.learning.backend import LocalBackend
+from repro.learning.graph_session import InteractivePathSession
 from repro.learning.interactive import (
     HalvingStrategy,
     InteractiveJoinSession,
@@ -9,8 +17,13 @@ from repro.learning.interactive import (
     RandomStrategy,
 )
 from repro.errors import LearningError
+from repro.learning.xml_session import InteractiveTwigSession
 from repro.relational.generator import make_join_instance
 from repro.relational.predicates import predicate_selects
+from repro.relational.relation import Relation
+from repro.schema.corpus import library_schema
+from repro.schema.generation import generate_valid_tree
+from repro.twig.parse import parse_twig
 
 
 def run_session(strategy, seed=3, **kwargs):
@@ -75,3 +88,65 @@ def test_max_questions_enforced():
 def test_interaction_rate():
     _, result = run_session(HalvingStrategy())
     assert 0 < result.interaction_rate <= 1
+
+
+def test_empty_pool_is_rejected():
+    inst = make_join_instance(rng=3, left_rows=3, right_rows=3)
+    for max_pool in (0, -1):
+        with pytest.raises(LearningError):
+            InteractiveJoinSession(inst.left, inst.right, inst.goal,
+                                   max_pool=max_pool)
+    with pytest.raises(LearningError):
+        InteractiveJoinSession(inst.left, Relation(inst.right.schema),
+                               inst.goal)
+
+
+def _twig_session(backend):
+    docs = [generate_xmark(scale=0.02, rng=5 + i) for i in range(3)]
+    return lambda: InteractiveTwigSession(
+        docs, parse_twig("//person[phone]/name"), label_filter="name",
+        max_pool=40, backend=backend)
+
+
+def _schema_twig_session(backend):
+    schema = library_schema()
+    docs = [generate_valid_tree(schema, rng=i, max_depth=6, growth=0.8)
+            for i in range(8)]
+    return lambda: InteractiveTwigSession(
+        docs, parse_twig("/library/book/title"), schema=schema,
+        label_filter="title", backend=backend)
+
+
+def _path_session(backend):
+    # Positive answers run the convergence check, which samples words.
+    graph = make_geo_graph(rng=1, width=5, height=3)
+    return lambda: InteractivePathSession(
+        graph, "city_0_0", "city_4_2", PathQuery.parse("highway+"),
+        max_length=6, backend=backend)
+
+
+def _join_session(backend):
+    inst = make_join_instance(rng=3, goal_pairs=2, left_rows=12,
+                              right_rows=12, domain=6)
+    return lambda: InteractiveJoinSession(
+        inst.left, inst.right, inst.goal, max_pool=100, rng=3,
+        backend=backend)
+
+
+@pytest.mark.parametrize("factory", [
+    _twig_session, _schema_twig_session, _path_session, _join_session,
+], ids=["twig", "schema-twig", "path", "join"])
+def test_session_runs_leave_no_reference_cycles(factory):
+    """A session's run state dies by reference counting: a recursive
+    closure or a ledger stored on the session would leave its objects to
+    the cyclic collector."""
+    make = factory(LocalBackend(engine=Engine()))
+    make().run()  # warm the engine's indexes and memos
+    gc.collect()
+    gc.disable()
+    try:
+        make().run()
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -1,10 +1,14 @@
 """Join learning: version-space invariants and the PTIME consistency check."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InconsistentExamplesError, LearningError
+from repro.learning import join_learner
 from repro.learning.join_learner import (
     JoinVersionSpace,
     PairExample,
@@ -13,7 +17,7 @@ from repro.learning.join_learner import (
     learn_join,
 )
 from repro.relational.generator import make_join_instance
-from repro.relational.predicates import predicate_selects
+from repro.relational.predicates import agreement_pairs, predicate_selects
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
@@ -114,9 +118,24 @@ def test_version_space_invariants_random(seed):
                               goal_pairs=1, domain=4)
     space = JoinVersionSpace(inst.left, inst.right)
     pairs = [(lr, rr) for lr in inst.left for rr in inst.right]
-    for lr, rr in pairs[:30]:
-        label = predicate_selects(inst.left, inst.right, lr, rr, inst.goal)
-        space.add(PairExample(lr, rr, label))
+    computed = Counter()
+
+    def counting(left, right, lrow, rrow, universe):
+        computed[lrow, rrow] += 1
+        return agreement_pairs(left, right, lrow, rrow, universe)
+
+    with mock.patch.object(join_learner, "agreement_pairs", counting):
+        for lr, rr in pairs[:30]:
+            label = predicate_selects(inst.left, inst.right, lr, rr,
+                                      inst.goal)
+            space.add(PairExample(lr, rr, label))
+        for lr, rr in pairs[:60]:
+            space.status(lr, rr)
+            assert space.eq(lr, rr) == agreement_pairs(
+                inst.left, inst.right, lr, rr, space.universe)
+    # The space memoises each pair's agreement set: computed once, however
+    # often the adds, the statuses and the checks above read it.
+    assert computed == Counter(pairs[:60])
     # Oracle labels are always consistent...
     assert space.is_consistent()
     # ...the goal is below Theta...

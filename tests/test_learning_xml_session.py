@@ -58,6 +58,11 @@ def test_requires_documents_and_pool():
         InteractiveTwigSession([], goal)
     with pytest.raises(LearningError):
         InteractiveTwigSession(docs(), goal, label_filter="nonexistent")
+    # A max_pool below 1 empties the pool.
+    for max_pool in (0, -1):
+        with pytest.raises(LearningError):
+            InteractiveTwigSession(docs(), goal, max_pool=max_pool)
+    assert len(InteractiveTwigSession(docs(), goal, max_pool=1).pool) == 1
 
 
 def test_question_budget_respected():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.learning.protocol import NodeExample, TwigOracle
+from repro.learning.protocol import (
+    InformativenessLedger,
+    NodeExample,
+    SessionStats,
+    TwigOracle,
+)
 from repro.twig.anchored import is_anchored
 from repro.twig.generator import canonical_query_for_node, random_twig
 from repro.twig.parse import parse_twig
@@ -41,6 +46,48 @@ def test_oracle_examples_from(people_doc):
     negatives = [e for e in examples if not e.positive]
     assert len(positives) == 2
     assert len(negatives) == 3
+
+
+def test_ledger_rewidens_only_after_a_positive_answer():
+    """The ledger on interval hypotheses over integers: a negative answer
+    keeps the hypothesis object, so the next round probes each stored
+    widening against that negative alone and skips settled candidates; a
+    positive answer replaces it, so every candidate is widened again."""
+    widened, probed = [], []
+
+    def widen(h, c):
+        widened.append(c)
+        return (c, c) if h is None else (min(h[0], c), max(h[1], c))
+
+    def probe(interval, negatives):
+        probed.append(tuple(negatives))
+        return any(interval[0] <= n <= interval[1] for n in negatives)
+
+    def members(h, candidates):
+        return [h[0] <= c <= h[1] for c in candidates]
+
+    ledger = InformativenessLedger(widen, probe, members)
+    assert ledger.informative([1, 2]) == [1, 2]
+    assert widened == [] and ledger.hypothesis is None
+    ledger.learn(5, True)
+    hypothesis = ledger.hypothesis
+    ledger.learn(7, False)
+    assert ledger.hypothesis is hypothesis and ledger.negatives == [7]
+    assert ledger.informative([0, 2, 3, 6, 8]) == [0, 2, 3, 6]  # 8 settles
+    assert probed == [(7,)] * 5
+    widened.clear(), probed.clear()
+    ledger.learn(2, False)
+    assert ledger.informative([0, 3, 6, 8]) == [3, 6]
+    assert widened == [] and probed == [(2,)] * 3
+    ledger.learn(3, True)
+    assert ledger.hypothesis == (3, 5)
+    assert ledger.informative([0, 4, 6, 8]) == [6]
+    assert widened == [3, 0, 6, 8] and probed[3:] == [(7, 2)] * 3
+    stats = SessionStats()
+    widened.clear(), probed.clear()
+    ledger.count_implied([0, 4, 6, 8], stats)
+    assert (stats.implied_positive, stats.implied_negative) == (1, 2)
+    assert widened == [] and probed == []
 
 
 def test_canonical_query_roundtrip():
