@@ -26,8 +26,9 @@ Architecture
     enumeration.
 
 :class:`~repro.engine.core.Engine`
-    Owns weak instance->index maps plus graph-independent NFA and
-    word-acceptance memos.  A module-level engine (:func:`get_engine`)
+    Owns weak instance->index maps plus the graph-independent NFA
+    cache, and decides single words against a path query by its atom
+    scan.  A module-level engine (:func:`get_engine`)
     backs thin wrappers so the existing ``evaluate(query, tree)`` /
     ``evaluate_rpq(query, graph)`` signatures keep working unchanged.
 
@@ -58,7 +59,7 @@ Typical use::
     engine = get_engine()
     answers = engine.evaluate_twig(query, tree)     # indexed + memoised
     pairs = engine.evaluate_rpq(regex, graph)       # memoised per source
-    ok = engine.accepts(path_query, word)           # cached NFA
+    ok = engine.accepts(path_query, word)           # bit-parallel scan
 """
 
 from repro.engine.cache import LRUCache

@@ -2,8 +2,8 @@
 
 :class:`Engine` owns a weak map from live documents/graphs to their
 one-time indexes (:class:`~repro.engine.document.IndexedDocument`,
-:class:`~repro.engine.graph.IndexedGraph`) and the graph-independent NFA /
-word-acceptance memos.  Indexes die with their data instance — the maps are
+:class:`~repro.engine.graph.IndexedGraph`) and the graph-independent NFA
+cache.  Indexes die with their data instance — the maps are
 keyed weakly by object identity, so a garbage-collected tree never pins its
 index and a recycled ``id()`` can never alias a stale one.
 
@@ -38,6 +38,7 @@ from repro.engine.graph import IndexedGraph, compile_query, query_key
 from repro.engine.version import instance_version
 from repro.graphdb.graph import Graph, VertexId
 from repro.graphdb.nfa import NFA
+from repro.graphdb.pathquery import PathQuery
 from repro.twig.ast import TwigQuery
 from repro.xmltree.tree import XNode, XTree
 
@@ -109,7 +110,6 @@ class Engine:
         self._graphs: "weakref.WeakKeyDictionary[Graph, IndexedGraph]" \
             = weakref.WeakKeyDictionary()
         self._nfas = LRUCache(512)
-        self._word_accepts = LRUCache(8192)
         # The engine lock guards only the instance->index (and build-lock)
         # map accesses.  Index *builds* run outside it, under a
         # per-instance lock — so two threads never build the same
@@ -306,13 +306,17 @@ class Engine:
                                          lambda: compile_query(query))
 
     def accepts(self, query, word: Sequence[str]) -> bool:
-        """Does the query language contain ``word``?  Memoised."""
-        key = (query_key(query), tuple(word))
-        cached = self._word_accepts.get(key)
-        if cached is None:
-            cached = self.nfa(query).accepts(tuple(word))
-            self._word_accepts.put(key, cached)
-        return cached
+        """Does the query language contain ``word``?
+
+        A :class:`PathQuery` is decided by the bit-parallel scan over its
+        atoms (:meth:`PathQuery.scan`), whose tables the query keeps: no
+        automaton is built and no memo is consulted, since a lookup
+        would cost about as much as the scan.  A regex or a raw NFA
+        steps its cached automaton.
+        """
+        if isinstance(query, PathQuery):
+            return query.scan().accepts(word)
+        return self.nfa(query).accepts(tuple(word))
 
     def words_between(self, graph: Graph, source: VertexId,
                       target: VertexId, *, max_length: int = 12,
@@ -351,7 +355,6 @@ class Engine:
             self._build_locks.clear()
             self.reset_stats()
         self._nfas.clear()
-        self._word_accepts.clear()
 
     def stats(self) -> dict[str, object]:
         """Aggregate cache + index-build statistics.
@@ -386,7 +389,6 @@ class Engine:
             "rpq_source_hits": rpq_hits,
             "rpq_source_misses": rpq_misses,
             "nfa_cache": self._nfas.stats(),
-            "word_accepts": self._word_accepts.stats(),
         }
 
     def reset_stats(self) -> None:
@@ -404,7 +406,6 @@ class Engine:
         self._twig_lookups.reset()
         self._rpq_lookups.reset()
         self._nfas.reset_stats()
-        self._word_accepts.reset_stats()
 
 
 _ENGINE = Engine()

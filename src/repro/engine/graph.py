@@ -22,8 +22,8 @@ lists:
   state-sets interned to dense dstate ids and one visited-bitmask per
   dstate;
 * a memo for the simple-path word enumeration that seeds every interactive
-  graph session (word *acceptance* is graph-independent and memoised on the
-  :class:`~repro.engine.core.Engine` itself).
+  graph session (word *acceptance* is graph-independent and decided by
+  the :class:`~repro.engine.core.Engine` itself).
 
 Vertex ids materialise back into caller-visible ``VertexId`` values only at
 the answer boundary (:meth:`evaluate_rpq` / :meth:`in_edges`).

@@ -1,8 +1,10 @@
 """Thompson-construction NFAs over the edge-label alphabet.
 
 The evaluator needs three things of an automaton: epsilon-closed stepping
-(for the product construction with a graph), word acceptance (for path
-labelling), and determinised reachability — all small and explicit here.
+(for the product construction with a graph), word acceptance (regexes,
+DTD content models, and ``PathQuery.accepts`` as the reference for the
+engine's atom scan), and determinised reachability — all small and
+explicit here.
 Stepping is memoised per automaton, so repeated acceptance checks walk a
 lazily built DFA.
 """

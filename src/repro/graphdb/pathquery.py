@@ -8,8 +8,11 @@ being hopeless: PSPACE-complete evaluation).  We take concatenations of
     highway+ . (national|local)? . train*
 
 — deliberately the path analogue of the schema package's disjunctive
-multiplicity expressions.  Evaluation compiles to an NFA (so the RPQ engine
-applies unchanged).  The learner generalises two queries of the fragment
+multiplicity expressions.  Two evaluators decide the same language: RPQ
+evaluation and :meth:`PathQuery.accepts` (the reference) run the Thompson
+NFA of :meth:`PathQuery.nfa`, and the engine decides a single word by
+:class:`AtomScan`, one bit-parallel pass over the atoms that builds no
+automaton.  The learner generalises two queries of the fragment
 by their cheapest sequence alignment (``lgg_path`` in
 :mod:`repro.learning.path_learner`); the result generalises both, but it
 is neither least nor monotone in the hypothesis, and that module gives
@@ -73,20 +76,73 @@ class PathAtom:
         return f"{body}{suffix}"
 
 
+class AtomScan:
+    """Word acceptance for a concatenation of atoms, as bit operations.
+
+    Bit ``i`` of a state means "atom ``i`` may consume the next symbol",
+    and bit ``n``, one past the last atom, means "the word may end here".
+    A step keeps the state's atoms that admit the symbol; each of them
+    may consume again if it repeats (``+``, ``*``) and hands on to the
+    atom after it, and across skippable atoms (``?``, ``*``) to the ones
+    after those.  The tables are built once per query.
+    """
+
+    __slots__ = ("_admits", "_step", "_start", "_end")
+
+    def __init__(self, atoms: Sequence[PathAtom]) -> None:
+        n = len(atoms)
+        # reach[i]: the positions the scan can move on to from position
+        # i without consuming a symbol (i, and past skippable atoms).
+        reach = [1 << n] * (n + 1)
+        self._admits: dict[str, int] = {}
+        # _step[bit of atom i]: the state after atom i consumes a symbol.
+        self._step: dict[int, int] = {}
+        for i in range(n - 1, -1, -1):
+            atom, bit = atoms[i], 1 << i
+            reach[i] = bit | (reach[i + 1] if atom.multiplicity.min == 0
+                              else 0)
+            self._step[bit] = reach[i + 1] | (
+                bit if atom.interval_unbounded() else 0)
+            for label in atom.labels:
+                self._admits[label] = self._admits.get(label, 0) | bit
+        self._start = reach[0]
+        self._end = 1 << n
+
+    def accepts(self, word: Iterable[str]) -> bool:
+        admits, step = self._admits, self._step
+        state = self._start
+        for symbol in word:
+            matched = state & admits.get(symbol, 0)
+            if not matched:
+                return False
+            # Mostly one atom matches: then the step is one lookup.
+            state = step.get(matched)
+            if state is None:
+                state = 0
+                while matched:
+                    bit = matched & -matched
+                    state |= step[bit]
+                    matched ^= bit
+        return bool(state & self._end)
+
+
 class PathQuery:
     """A concatenation of path atoms.
 
     Immutable: its hash is computed once, in ``__init__``, and setting or
     deleting an attribute raises :class:`AttributeError`, so the hash
-    cannot go stale.  Only the compiled NFA is filled in later, once.
+    cannot go stale.  Only the compiled NFA and the scan tables are
+    filled in later, each once.  They are pure functions of the atoms, so
+    two threads racing on a first use only build one of them twice.
     """
 
-    __slots__ = ("atoms", "_nfa", "_hash")
+    __slots__ = ("atoms", "_nfa", "_scan", "_hash")
 
     def __init__(self, atoms: Iterable[PathAtom] = ()) -> None:
         atoms = tuple(atoms)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_nfa", None)
+        object.__setattr__(self, "_scan", None)
         object.__setattr__(self, "_hash", hash(atoms))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -136,7 +192,15 @@ class PathQuery:
             object.__setattr__(self, "_nfa", compile_regex(self.to_regex()))
         return self._nfa
 
+    def scan(self) -> AtomScan:
+        """The bit-parallel acceptance tables of the query (built once)."""
+        if self._scan is None:
+            object.__setattr__(self, "_scan", AtomScan(self.atoms))
+        return self._scan
+
     def accepts(self, word: Sequence[str]) -> bool:
+        """Word membership by the Thompson NFA: the reference that
+        :meth:`scan` is checked against."""
         return self.nfa().accepts(tuple(word))
 
     def size(self) -> int:

@@ -106,30 +106,7 @@ class TripleStore:
 
         ordered = sorted(patterns, key=selectivity, reverse=True)
         solutions: list[Binding] = []
-
-        def substitute(term: object, binding: Binding) -> object:
-            if _is_var(term) and term in binding:
-                return binding[term]
-            return term
-
-        def go(idx: int, binding: Binding) -> None:
-            if idx == len(ordered):
-                solutions.append(dict(binding))
-                return
-            s, p, o = (substitute(t, binding) for t in ordered[idx])
-            for ts, tp, to in self.match_pattern(s, p, o):
-                new_binding = dict(binding)
-                conflict = False
-                for term, value in ((s, ts), (p, tp), (o, to)):
-                    if _is_var(term):
-                        if new_binding.get(term, value) != value:
-                            conflict = True
-                            break
-                        new_binding[term] = value
-                if not conflict:
-                    go(idx + 1, new_binding)
-
-        go(0, {})
+        _solve(self, ordered, 0, {}, solutions)
         return solutions
 
     # ------------------------------------------------------------------
@@ -154,6 +131,35 @@ class TripleStore:
             else:
                 graph.add_vertex(s, **{p: o})
         return graph
+
+
+def _substitute(term: object, binding: Binding) -> object:
+    if _is_var(term) and term in binding:
+        return binding[term]
+    return term
+
+
+def _solve(store: TripleStore, ordered: list[Triple], idx: int,
+           binding: Binding, solutions: list[Binding]) -> None:
+    """Extend ``binding`` over ``ordered[idx:]`` into ``solutions``."""
+    # Module-level with its state as arguments: a recursive inner
+    # function would close over itself and keep the solutions in a
+    # reference cycle until the cyclic collector runs.
+    if idx == len(ordered):
+        solutions.append(dict(binding))
+        return
+    s, p, o = (_substitute(t, binding) for t in ordered[idx])
+    for ts, tp, to in store.match_pattern(s, p, o):
+        new_binding = dict(binding)
+        conflict = False
+        for term, value in ((s, ts), (p, tp), (o, to)):
+            if _is_var(term):
+                if new_binding.get(term, value) != value:
+                    conflict = True
+                    break
+                new_binding[term] = value
+        if not conflict:
+            _solve(store, ordered, idx + 1, new_binding, solutions)
 
 
 def graph_to_triples(graph: Graph) -> TripleStore:

@@ -77,11 +77,8 @@ class LatticeStrategy(ProposalStrategy):
 
     def choose(self, space: JoinVersionSpace,
                informative: list[Pair]) -> Pair:
-        def key(pair: Pair) -> tuple[int, str]:
-            agreement = space.eq(*pair) & space.theta_max
-            return (-len(agreement), repr(pair))
-
-        return min(informative, key=key)
+        return _least(informative,
+                      [-space.theta_overlap(*pair) for pair in informative])
 
 
 class HalvingStrategy(ProposalStrategy):
@@ -104,13 +101,23 @@ class HalvingStrategy(ProposalStrategy):
         if len(hypotheses) > self.cap:
             return self._fallback.choose(space, informative)
         total = len(hypotheses)
-
-        def imbalance(pair: Pair) -> tuple[int, str]:
+        imbalances = []
+        for pair in informative:
             agreement = space.eq(*pair)
             selecting = sum(1 for h in hypotheses if h <= agreement)
-            return (abs(2 * selecting - total), repr(pair))
+            imbalances.append(abs(2 * selecting - total))
+        return _least(informative, imbalances)
 
-        return min(informative, key=imbalance)
+
+def _least(pairs: list[Pair], scores: list[int]) -> Pair:
+    """The pair of least score, ties broken by the least ``repr``.
+
+    Picks what ``min`` keyed on ``(score, repr(pair))`` picks, but builds
+    a ``repr`` only for the pairs tied at the least score.
+    """
+    best = min(scores)
+    return min((pair for pair, score in zip(pairs, scores) if score == best),
+               key=repr)
 
 
 @dataclass

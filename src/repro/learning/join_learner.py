@@ -20,6 +20,10 @@ With ``eq(t)`` the set of universe pairs on which tuple pair ``t`` agrees,
   ``Θ ∩ eq(t)`` already selects a known negative (no consistent hypothesis
   can select ``t``) — the "uninformative tuple" propagation driving the
   interactive framework.
+
+:class:`JoinVersionSpace` runs this set algebra on ``int`` bitmasks over
+its fixed universe (one bit per attribute pair): ``θ ⊆ eq(t)`` is
+``theta & ~eq == 0``.  Its frozenset attributes are views of the masks.
 """
 
 from __future__ import annotations
@@ -60,10 +64,14 @@ class JoinVersionSpace:
     """The set of join predicates consistent with the labels seen so far.
 
     Maintains ``Θ`` (the most specific hypothesis) and the agreement sets
-    of negatives; all queries about the space are set algebra on those.
-    ``eq`` memoises each pair's agreement set in a dict owned by the
-    space: it is a pure function of the fixed relations and universe, and
-    an interactive session re-reads every pending pair's set every round.
+    of negatives; all queries about the space are set algebra on those,
+    run on ``int`` masks over the universe, numbered once in sorted order.
+    Each tuple pair's mask is memoised per space, read straight off the
+    two rows: it is a pure function of the fixed relations and universe,
+    and an interactive session re-reads every pending pair's mask every
+    round.  ``theta_max``, ``negative_eqs`` and :meth:`eq` give the same
+    sets as frozensets; :meth:`eq` memoises its own, which only the
+    labelled pairs need.
     """
 
     def __init__(self, left: Relation, right: Relation,
@@ -74,12 +82,43 @@ class JoinVersionSpace:
             frozenset(universe) if universe is not None
             else comparable_pairs(left, right)
         )
-        self.theta_max: frozenset[AttributePair] = self.universe
-        self.negative_eqs: list[frozenset[AttributePair]] = []
+        self._pairs = sorted(self.universe)
+        self._bits = {pair: 1 << i for i, pair in enumerate(self._pairs)}
+        # (bit, left column, right column) per universe pair; an unknown
+        # attribute raises RelationalError here.
+        self._columns = [
+            (self._bits[a, b], left.schema.position(a),
+             right.schema.position(b))
+            for a, b in self._pairs]
+        self._theta = (1 << len(self._pairs)) - 1
+        self._negatives: list[int] = []
         self.n_positives = 0
+        self._masks: dict[tuple[Row, Row], int] = {}
         self._eqs: dict[tuple[Row, Row], JoinPredicate] = {}
 
     # ------------------------------------------------------------------
+    def _pairs_of(self, mask: int) -> frozenset[AttributePair]:
+        return frozenset(pair for i, pair in enumerate(self._pairs)
+                         if mask >> i & 1)
+
+    def _mask(self, left_row: Row, right_row: Row) -> int:
+        mask = self._masks.get((left_row, right_row))
+        if mask is None:
+            mask = 0
+            for bit, i, j in self._columns:
+                if left_row[i] == right_row[j]:
+                    mask |= bit
+            self._masks[left_row, right_row] = mask
+        return mask
+
+    @property
+    def theta_max(self) -> frozenset[AttributePair]:
+        return self._pairs_of(self._theta)
+
+    @property
+    def negative_eqs(self) -> list[frozenset[AttributePair]]:
+        return [self._pairs_of(n) for n in self._negatives]
+
     def eq(self, left_row: Row, right_row: Row) -> JoinPredicate:
         agreement = self._eqs.get((left_row, right_row))
         if agreement is None:
@@ -92,11 +131,14 @@ class JoinVersionSpace:
 
     def _fold(self, example: PairExample,
               agreement: frozenset[AttributePair]) -> None:
+        mask = 0
+        for pair in agreement:
+            mask |= self._bits[pair]
         if example.positive:
-            self.theta_max = self.theta_max & agreement
+            self._theta &= mask
             self.n_positives += 1
         else:
-            self.negative_eqs.append(agreement)
+            self._negatives.append(mask)
 
     def add_many(self, examples: Sequence["PairExample"], *,
                  backend=None) -> None:
@@ -119,19 +161,24 @@ class JoinVersionSpace:
     # ------------------------------------------------------------------
     def is_consistent(self) -> bool:
         """PTIME: the most specific hypothesis must avoid every negative."""
-        return all(not self.theta_max <= neg for neg in self.negative_eqs)
+        return all(self._theta & ~neg for neg in self._negatives)
 
     def selects(self, theta: frozenset[AttributePair],
                 left_row: Row, right_row: Row) -> bool:
         return theta <= self.eq(left_row, right_row)
 
+    def theta_overlap(self, left_row: Row, right_row: Row) -> int:
+        """``|eq(t) ∩ Θ|``: how many pairs of Θ the two rows agree on."""
+        return (self._mask(left_row, right_row) & self._theta).bit_count()
+
     def status(self, left_row: Row, right_row: Row) -> PairStatus:
-        agreement = self.eq(left_row, right_row)
-        if self.theta_max <= agreement:
+        agreement = self._mask(left_row, right_row)
+        if not self._theta & ~agreement:
             return PairStatus.IMPLIED_POSITIVE
-        candidate = self.theta_max & agreement
-        if any(candidate <= neg for neg in self.negative_eqs):
-            return PairStatus.IMPLIED_NEGATIVE
+        candidate = self._theta & agreement
+        for neg in self._negatives:
+            if not candidate & ~neg:
+                return PairStatus.IMPLIED_NEGATIVE
         return PairStatus.INFORMATIVE
 
     def is_informative(self, left_row: Row, right_row: Row) -> bool:
@@ -146,12 +193,13 @@ class JoinVersionSpace:
         Yields larger (more specific) hypotheses first.
         """
         produced = 0
-        pairs = sorted(self.theta_max)
-        for size in range(len(pairs), -1, -1):
-            for combo in itertools.combinations(pairs, size):
-                theta = frozenset(combo)
-                if all(not theta <= neg for neg in self.negative_eqs):
-                    yield theta
+        bits = [(1 << i, pair) for i, pair in enumerate(self._pairs)
+                if self._theta >> i & 1]
+        for size in range(len(bits), -1, -1):
+            for combo in itertools.combinations(bits, size):
+                theta = sum(bit for bit, _ in combo)
+                if all(theta & ~neg for neg in self._negatives):
+                    yield frozenset(pair for _, pair in combo)
                     produced += 1
                     if produced >= limit:
                         return

@@ -122,12 +122,15 @@ class InformativenessLedger:
     * new hypothesis: re-widen and probe against every negative.
 
     Each rule gives the verdict of widening and probing every negative
-    from scratch.  A session creates one ledger per ``run()`` as a local:
-    the ledger holds the session's bound methods, so keeping it on the
-    session would make a reference cycle.
+    from scratch.  The ledger also keeps the last round's ``members``
+    flags: a session stops right after a round, and :meth:`count_implied`
+    reuses them while the hypothesis object and the pending candidates
+    are the ones that round classified.  A session creates one ledger per
+    ``run()`` as a local: the ledger holds the session's bound methods, so
+    keeping it on the session would make a reference cycle.
     """
 
-    __slots__ = ("_widen", "_probe", "_members", "_entries",
+    __slots__ = ("_widen", "_probe", "_members", "_entries", "_last_round",
                  "hypothesis", "negatives")
 
     def __init__(self, widen: Callable[[Any, Any], Any],
@@ -137,6 +140,8 @@ class InformativenessLedger:
         self._probe = probe
         self._members = members
         self._entries: dict[Hashable, list[Any]] = {}
+        # (hypothesis, pending, members flags) of the last round.
+        self._last_round: tuple[Any, list[Hashable], list[bool]] | None = None
         self.hypothesis: Any = None
         self.negatives: list[Any] = []
 
@@ -152,6 +157,7 @@ class InformativenessLedger:
         if self.hypothesis is None:
             return list(pending)
         selected = self._members(self.hypothesis, pending)
+        self._last_round = (self.hypothesis, list(pending), selected)
         out = []
         for candidate, sel in zip(pending, selected):
             if sel:
@@ -164,10 +170,16 @@ class InformativenessLedger:
     def count_implied(self, pending: Sequence[Hashable],
                       stats: SessionStats) -> None:
         """Final propagation: count the unasked candidates' implied labels
-        (every entry is already up to date, so nothing more is probed)."""
+        (every entry is already up to date, so nothing more is probed, and
+        the last round's flags answer ``members`` when they still can)."""
         if self.hypothesis is None:
             return
-        selected = self._members(self.hypothesis, pending)
+        last = self._last_round
+        if (last is not None and last[0] is self.hypothesis
+                and last[1] == list(pending)):
+            selected = last[2]
+        else:
+            selected = self._members(self.hypothesis, pending)
         stats.implied_positive += sum(selected)
         stats.implied_negative += sum(
             self.implied_negative(candidate, self.hypothesis, self.negatives)

@@ -23,7 +23,7 @@ Two solvers, matching the paper's plan:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import InconsistentExamplesError, LearningError
@@ -140,34 +140,45 @@ def check_semijoin_consistency(
         return SemijoinSearchResult(False, None, 1)
     order = sorted(range(len(positives)), key=lambda i: len(pos_witnesses[i]))
 
-    explored = 0
-
-    def search(idx: int, theta: frozenset[AttributePair],
-               ) -> frozenset[AttributePair] | None:
-        nonlocal explored
-        if explored >= budget:
-            return None
-        explored += 1
-        if violates(theta):
-            return None
-        if idx == len(order):
-            return theta
-        for witness in pos_witnesses[order[idx]]:
-            candidate = theta & witness
-            found = search(idx + 1, candidate)
-            if found is not None:
-                return found
-            if explored >= budget:
-                return None
-        return None
-
-    witness = search(0, uni)
+    search = _WitnessSearch([pos_witnesses[i] for i in order], violates,
+                            budget)
+    witness = search.run(0, uni)
+    explored = search.explored
     if witness is not None:
         return SemijoinSearchResult(True, witness, explored)
     if explored >= budget:
         return SemijoinSearchResult(None, None, explored,
                                     budget_exhausted=True)
     return SemijoinSearchResult(False, None, explored)
+
+
+@dataclass(slots=True)
+class _WitnessSearch:
+    """The branch-and-bound of :func:`check_semijoin_consistency`: one
+    witness per positive, in order, counting the nodes it explores.  An
+    object, not a recursive closure, so no reference cycle is left."""
+
+    choices: list[list[frozenset[AttributePair]]]
+    violates: Callable[[frozenset[AttributePair]], bool]
+    budget: int
+    explored: int = 0
+
+    def run(self, idx: int, theta: frozenset[AttributePair],
+            ) -> frozenset[AttributePair] | None:
+        if self.explored >= self.budget:
+            return None
+        self.explored += 1
+        if self.violates(theta):
+            return None
+        if idx == len(self.choices):
+            return theta
+        for witness in self.choices[idx]:
+            found = self.run(idx + 1, theta & witness)
+            if found is not None:
+                return found
+            if self.explored >= self.budget:
+                return None
+        return None
 
 
 def learn_semijoin(

@@ -89,48 +89,62 @@ def check_consistency(
     backend = as_backend(backend)
     canonicals = [backend.canonical_query(e.tree, e.node) for e in positives]
 
-    # Depth-first over example folds; at each fold, try alignment
-    # alternatives in cost order.  A candidate that already selects a
-    # negative cannot recover (later folds only generalise further), so we
-    # prune immediately — that pruning is what makes typical instances fast.
-    tried = 0
-    budget_exhausted = False
-    space_truncated = False
+    search = _FoldSearch(canonicals, negatives, backend, budget, branching,
+                         practical)
+    witness = search.run(canonicals[0], 1)
+    if witness is not None:
+        return ConsistencyResult(True, witness, search.tried,
+                                 exhausted=False)
+    if search.budget_exhausted or search.space_truncated:
+        return ConsistencyResult(None, None, search.tried, exhausted=False)
+    return ConsistencyResult(False, None, search.tried, exhausted=True)
 
-    def search(hypothesis: TwigQuery, index: int) -> TwigQuery | None:
-        nonlocal tried, budget_exhausted, space_truncated
-        if tried >= budget:
-            budget_exhausted = True
+
+@dataclass(slots=True)
+class _FoldSearch:
+    """The search of :func:`check_consistency`, depth-first over example
+    folds; at each fold it tries the alignment alternatives in cost
+    order.  A candidate that already selects a negative cannot recover
+    (later folds only generalise further), so it is pruned at once —
+    that pruning is what makes typical instances fast.  An object, not a
+    recursive closure, so no reference cycle is left."""
+
+    canonicals: Sequence[TwigQuery]
+    negatives: Sequence[NodeExample]
+    backend: EvaluationBackend
+    budget: int
+    branching: int
+    practical: bool
+    tried: int = 0
+    budget_exhausted: bool = False
+    space_truncated: bool = False
+
+    def run(self, hypothesis: TwigQuery, index: int) -> TwigQuery | None:
+        if self.tried >= self.budget:
+            self.budget_exhausted = True
             return None
-        tried += 1
+        self.tried += 1
         repaired, repair_exact = anchor_repair(hypothesis)
         if not repair_exact:
-            space_truncated = True
+            self.space_truncated = True
         candidate = minimize(repaired)
-        if _violates_negative(candidate, negatives, backend):
+        if _violates_negative(candidate, self.negatives, self.backend):
             return None
-        if index == len(canonicals):
+        if index == len(self.canonicals):
             return candidate
-        alternatives = list(iter_products(candidate, canonicals[index],
-                                          practical=practical,
-                                          limit=branching + 1))
-        if len(alternatives) > branching:
-            space_truncated = True
-            alternatives = alternatives[:branching]
+        alternatives = list(iter_products(candidate, self.canonicals[index],
+                                          practical=self.practical,
+                                          limit=self.branching + 1))
+        if len(alternatives) > self.branching:
+            self.space_truncated = True
+            alternatives = alternatives[:self.branching]
         for alternative in alternatives:
-            found = search(alternative, index + 1)
+            found = self.run(alternative, index + 1)
             if found is not None:
                 return found
-            if budget_exhausted:
+            if self.budget_exhausted:
                 return None
         return None
-
-    witness = search(canonicals[0], 1)
-    if witness is not None:
-        return ConsistencyResult(True, witness, tried, exhausted=False)
-    if budget_exhausted or space_truncated:
-        return ConsistencyResult(None, None, tried, exhausted=False)
-    return ConsistencyResult(False, None, tried, exhausted=True)
 
 
 def learn_twig_with_negatives(

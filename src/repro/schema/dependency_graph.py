@@ -75,16 +75,25 @@ class DependencyGraph:
         trimmed schema never has one; exposed for direct testing."""
         graph = {label: self.required_children(label) for label in self.labels}
         state: dict[str, int] = {}
+        return any(state.get(v, 0) == 0 and _visit(graph, state, v)
+                   for v in self.labels)
 
-        def visit(v: str) -> bool:
-            state[v] = 1
-            for w in graph[v]:
-                s = state.get(w, 0)
-                if s == 1:
-                    return True
-                if s == 0 and visit(w):
-                    return True
-            state[v] = 2
-            return False
 
-        return any(state.get(v, 0) == 0 and visit(v) for v in self.labels)
+def _visit(graph: dict[str, frozenset[str]], state: dict[str, int],
+           v: str) -> bool:
+    """Depth-first from ``v``: does it reach a vertex still on the stack?
+
+    ``state`` marks a vertex 1 while on the stack and 2 when done.
+    Module-level with its state as arguments: a recursive inner function
+    would close over itself and keep the graph in a reference cycle until
+    the cyclic collector runs.
+    """
+    state[v] = 1
+    for w in graph[v]:
+        s = state.get(w, 0)
+        if s == 1:
+            return True
+        if s == 0 and _visit(graph, state, w):
+            return True
+    state[v] = 2
+    return False

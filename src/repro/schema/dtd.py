@@ -57,18 +57,8 @@ class DTD:
 
     def _mentioned(self) -> set[str]:
         out: set[str] = set()
-
-        def labels_of(r: Regex) -> None:
-            if isinstance(r, Label):
-                out.add(r.name)
-            elif isinstance(r, (Concat, Union)):
-                labels_of(r.left)
-                labels_of(r.right)
-            elif isinstance(r, Star):
-                labels_of(r.inner)
-
         for model in self.rules.values():
-            labels_of(model)
+            _collect_labels(model, out)
         return out
 
     def _nfa(self, label: str) -> NFA:
@@ -105,17 +95,30 @@ class DTD:
         """No union anywhere in the content models (``?`` counts as a
         union with epsilon, hence also excluded — the classic definition
         permits only concatenation and star of labels)."""
+        return all(_disjunction_free(model) for model in self.rules.values())
 
-        def free(r: Regex) -> bool:
-            if isinstance(r, (Label, Epsilon)):
-                return True
-            if isinstance(r, Concat):
-                return free(r.left) and free(r.right)
-            if isinstance(r, Star):
-                return free(r.inner)
-            return False  # Union
 
-        return all(free(model) for model in self.rules.values())
+# Module-level recursions over a content model: a recursive inner function
+# would close over itself and leave a reference cycle per call.
+def _collect_labels(r: Regex, out: set[str]) -> None:
+    """Add every label ``r`` mentions to ``out``."""
+    if isinstance(r, Label):
+        out.add(r.name)
+    elif isinstance(r, (Concat, Union)):
+        _collect_labels(r.left, out)
+        _collect_labels(r.right, out)
+    elif isinstance(r, Star):
+        _collect_labels(r.inner, out)
+
+
+def _disjunction_free(r: Regex) -> bool:
+    if isinstance(r, (Label, Epsilon)):
+        return True
+    if isinstance(r, Concat):
+        return _disjunction_free(r.left) and _disjunction_free(r.right)
+    if isinstance(r, Star):
+        return _disjunction_free(r.inner)
+    return False  # Union
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ height, the generator takes minimal counts and minimal-height labels only.
 from __future__ import annotations
 
 import itertools
+import random
 from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from repro.errors import SchemaError
 from repro.schema.dme import Atom
@@ -71,38 +73,52 @@ def generate_valid_tree(
             f"{heights[core.root]}"
         )
 
-    def pick_count(atom: Atom, depth_left: int) -> int:
+    return XTree(_TreeSampler(core, heights, r, growth, max_extra)
+                 .grow(core.root, max_depth))
+
+
+@dataclass(slots=True)
+class _TreeSampler:
+    """The recursive sampling of :func:`generate_valid_tree`.  An object,
+    not a recursive closure, so no reference cycle is left."""
+
+    core: DMS
+    heights: dict[str, int]
+    r: random.Random
+    growth: float
+    max_extra: int
+
+    def pick_count(self, atom: Atom, depth_left: int) -> int:
         lo = atom.interval.lo
         if depth_left <= 1:
             return lo
         count = lo
         hi = atom.interval.hi
-        for _ in range(max_extra):
+        for _ in range(self.max_extra):
             if isinstance(hi, int) and count >= hi:
                 break
-            if r.random() < growth:
+            if self.r.random() < self.growth:
                 count += 1
             else:
                 break
         return count
 
-    def grow(label: str, depth_left: int) -> XNode:
+    def grow(self, label: str, depth_left: int) -> XNode:
+        heights = self.heights
         node = XNode(label)
-        expr = core.expression(label)
+        expr = self.core.expression(label)
         for atom in expr.atoms:
             fitting = [x for x in atom.labels if heights[x] < depth_left]
-            count = pick_count(atom, depth_left) if fitting else 0
+            count = self.pick_count(atom, depth_left) if fitting else 0
             if count < atom.interval.lo:
                 # Must meet the minimum: minimal-height labels always fit
                 # because depth_left >= minimal height of `label`.
                 fitting = sorted(atom.labels, key=lambda x: heights[x])[:1]
                 count = atom.interval.lo
             for _ in range(count):
-                child_label = r.choice(fitting)
-                node.add(grow(child_label, depth_left - 1))
+                child_label = self.r.choice(fitting)
+                node.add(self.grow(child_label, depth_left - 1))
         return node
-
-    return XTree(grow(core.root, max_depth))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -143,21 +159,42 @@ def enumerate_valid_trees(
     if heights[core.root] > max_depth:
         return
 
-    memo: dict[tuple[str, int], list[XNode]] = {}
+    options = _SubtreeOptions(core, heights, limit, extra)
+    produced = 0
+    for root in options.of(core.root, max_depth):
+        if produced >= limit:
+            return
+        yield XTree(root)
+        produced += 1
 
-    def subtree_options(label: str, depth_left: int) -> list[XNode]:
+
+@dataclass(slots=True)
+class _SubtreeOptions:
+    """The memoised per-label subtree streams of
+    :func:`enumerate_valid_trees`.  An object, not a recursive closure,
+    so no reference cycle is left."""
+
+    core: DMS
+    heights: dict[str, int]
+    limit: int
+    extra: int
+    memo: dict[tuple[str, int], list[XNode]] = field(default_factory=dict)
+
+    def of(self, label: str, depth_left: int) -> list[XNode]:
+        """Every valid subtree rooted at ``label`` within the bounds."""
+        memo, heights, limit = self.memo, self.heights, self.limit
         key = (label, depth_left)
         if key in memo:
             return memo[key]
         if heights[label] > depth_left:
             memo[key] = []
             return []
-        expr = core.expression(label)
+        expr = self.core.expression(label)
         per_atom_choices: list[list[list[XNode]]] = []
         for atom in expr.atoms:
             atom_choices: list[list[XNode]] = []
             hi = atom.interval.hi
-            top = atom.interval.lo + extra
+            top = atom.interval.lo + self.extra
             if isinstance(hi, int):
                 top = min(top, hi)
             labels = sorted(atom.labels)
@@ -168,7 +205,7 @@ def enumerate_valid_trees(
                     for x, k in zip(labels, distribution):
                         if k == 0:
                             continue
-                        subs = subtree_options(x, depth_left - 1)
+                        subs = self.of(x, depth_left - 1)
                         if not subs:
                             feasible = False
                             break
@@ -207,9 +244,3 @@ def enumerate_valid_trees(
         memo[key] = results
         return results
 
-    produced = 0
-    for root in subtree_options(core.root, max_depth):
-        if produced >= limit:
-            return
-        yield XTree(root)
-        produced += 1

@@ -44,41 +44,44 @@ def _desc_targets(n: TwigNode) -> list[TwigNode]:
 def embeds(q2: TwigQuery, q1: TwigQuery) -> bool:
     """Is there an embedding of ``q2`` into ``q1``?  Witnesses ``q1 ⊆ q2``."""
     memo: dict[tuple[int, int], bool] = {}
-
-    def node_ok(u2: TwigNode, u1: TwigNode) -> bool:
-        # q2's selected node must land on q1's selected node; other q2
-        # nodes may map anywhere (including onto q1's selected node).
-        if u2 is q2.selected and u1 is not q1.selected:
-            return False
-        if u2.is_wildcard:
-            return True
-        return (not u1.is_wildcard) and u2.label == u1.label
-
-    def go(u2: TwigNode, u1: TwigNode) -> bool:
-        key = (id(u2), id(u1))
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle guard (trees: unreachable, but safe)
-        ok = node_ok(u2, u1)
-        if ok:
-            for axis, v2 in u2.branches:
-                if axis is Axis.CHILD:
-                    targets = [c for a, c in u1.branches if a is Axis.CHILD]
-                else:
-                    targets = _desc_targets(u1)
-                if not any(go(v2, v1) for v1 in targets):
-                    ok = False
-                    break
-        memo[key] = ok
-        return ok
-
     if q2.root_axis is Axis.CHILD:
         if q1.root_axis is not Axis.CHILD:
             return False
-        return go(q2.root, q1.root)
+        return _embeds_at(q2, q1, q2.root, q1.root, memo)
     # q2 root may map anywhere in q1; if q1 is //-rooted, any q1 node works,
     # and if q1 is /-rooted its nodes sit at fixed depths — also fine.
-    return any(go(q2.root, u1) for u1 in q1.nodes())
+    return any(_embeds_at(q2, q1, q2.root, u1, memo) for u1 in q1.nodes())
+
+
+def _embeds_at(q2: TwigQuery, q1: TwigQuery, u2: TwigNode, u1: TwigNode,
+               memo: dict[tuple[int, int], bool]) -> bool:
+    """Does the subpattern at ``u2`` embed with ``u2`` mapped to ``u1``?
+
+    Module-level with its state as arguments: a recursive inner function
+    would close over itself and keep the memo in a reference cycle until
+    the cyclic collector runs.
+    """
+    key = (id(u2), id(u1))
+    if key in memo:
+        return memo[key]
+    memo[key] = False  # cycle guard (trees: unreachable, but safe)
+    # q2's selected node must land on q1's selected node; other q2
+    # nodes may map anywhere (including onto q1's selected node).
+    if u2 is q2.selected and u1 is not q1.selected:
+        ok = False
+    else:
+        ok = u2.is_wildcard or (not u1.is_wildcard and u2.label == u1.label)
+    if ok:
+        for axis, v2 in u2.branches:
+            if axis is Axis.CHILD:
+                targets = [c for a, c in u1.branches if a is Axis.CHILD]
+            else:
+                targets = _desc_targets(u1)
+            if not any(_embeds_at(q2, q1, v2, v1, memo) for v1 in targets):
+                ok = False
+                break
+    memo[key] = ok
+    return ok
 
 
 def contains(q1: TwigQuery, q2: TwigQuery) -> bool:
@@ -102,28 +105,34 @@ def _instantiate(q1: TwigQuery, lengths: dict[int, int],
     the image of the selected node.
     """
     selected_image: list[XNode] = []
-
-    def build(n: TwigNode) -> XNode:
-        label = _FRESH if n.is_wildcard else n.label
-        x = XNode(label)
-        if n is q1.selected:
-            selected_image.append(x)
-        for axis, child in n.branches:
-            sub = build(child)
-            if axis is Axis.CHILD:
-                x.add(sub)
-            else:
-                chain = sub
-                for _ in range(lengths[id(child)] - 1):
-                    chain = XNode(_FRESH, [chain])
-                x.add(chain)
-        return x
-
-    core = build(q1.root)
+    core = _build_canonical(q1, q1.root, lengths, selected_image)
     top = core
     for _ in range(root_prefix):
         top = XNode(_FRESH, [top])
     return XTree(top), selected_image[0]
+
+
+def _build_canonical(q1: TwigQuery, n: TwigNode, lengths: dict[int, int],
+                     selected_image: list[XNode]) -> XNode:
+    """The canonical document fragment of the subpattern at ``n``.
+
+    Module-level with its state as arguments: a recursive inner function
+    would close over itself and leave a reference cycle per call.
+    """
+    label = _FRESH if n.is_wildcard else n.label
+    x = XNode(label)
+    if n is q1.selected:
+        selected_image.append(x)
+    for axis, child in n.branches:
+        sub = _build_canonical(q1, child, lengths, selected_image)
+        if axis is Axis.CHILD:
+            x.add(sub)
+        else:
+            chain = sub
+            for _ in range(lengths[id(child)] - 1):
+                chain = XNode(_FRESH, [chain])
+            x.add(chain)
+    return x
 
 
 def _desc_edges(q: TwigQuery) -> list[TwigNode]:

@@ -11,7 +11,9 @@ spine with random filter branches, always anchored, always satisfiable.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.twig.ast import Axis, TwigNode, TwigQuery
 from repro.util.rng import RngLike, make_rng
@@ -59,31 +61,18 @@ def random_twig(
     r = make_rng(rng)
     if spine_length < 1:
         raise ValueError("spine_length must be >= 1")
+    draw = _TwigDraw(r, labels, filter_probability, desc_probability,
+                     wildcard_probability, max_filter_depth)
 
-    def pick_label(allow_wildcard: bool) -> str:
-        if allow_wildcard and r.random() < wildcard_probability:
-            return "*"
-        return r.choice(list(labels))
-
-    def pick_axis() -> Axis:
-        return Axis.DESC if r.random() < desc_probability else Axis.CHILD
-
-    def grow_filter(depth: int, incoming: Axis) -> TwigNode:
-        n = TwigNode(pick_label(allow_wildcard=incoming is Axis.CHILD))
-        if depth < max_filter_depth and r.random() < filter_probability:
-            axis = pick_axis()
-            n.add(axis, grow_filter(depth + 1, axis))
-        return n
-
-    root_axis = pick_axis()
+    root_axis = draw.axis()
     spine: list[TwigNode] = []
     incoming = root_axis
     for _ in range(spine_length):
-        node = TwigNode(pick_label(allow_wildcard=incoming is Axis.CHILD))
+        node = TwigNode(draw.label(allow_wildcard=incoming is Axis.CHILD))
         spine.append(node)
-        incoming = pick_axis()
+        incoming = draw.axis()
     for idx in range(len(spine) - 1):
-        axis = Axis.DESC if r.random() < desc_probability else Axis.CHILD
+        axis = draw.axis()
         # Keep anchoredness: descendant edges must target labelled nodes.
         if spine[idx + 1].is_wildcard:
             axis = Axis.CHILD
@@ -92,9 +81,40 @@ def random_twig(
         root_axis = Axis.CHILD
     for node in spine:
         if r.random() < filter_probability:
-            axis = pick_axis()
+            axis = draw.axis()
             node.branches.insert(
                 r.randrange(len(node.branches) + 1),
-                (axis, grow_filter(1, axis)),
+                (axis, draw.filter(1, axis)),
             )
     return TwigQuery(root_axis, spine[0], spine[-1])
+
+
+@dataclass(slots=True)
+class _TwigDraw:
+    """The random choices of :func:`random_twig`, from one generator.  An
+    object, not inner functions, so the recursive filter draw leaves no
+    reference cycle."""
+
+    r: random.Random
+    labels: Sequence[str]
+    filter_probability: float
+    desc_probability: float
+    wildcard_probability: float
+    max_filter_depth: int
+
+    def label(self, allow_wildcard: bool) -> str:
+        if allow_wildcard and self.r.random() < self.wildcard_probability:
+            return "*"
+        return self.r.choice(list(self.labels))
+
+    def axis(self) -> Axis:
+        return (Axis.DESC if self.r.random() < self.desc_probability
+                else Axis.CHILD)
+
+    def filter(self, depth: int, incoming: Axis) -> TwigNode:
+        n = TwigNode(self.label(allow_wildcard=incoming is Axis.CHILD))
+        if (depth < self.max_filter_depth
+                and self.r.random() < self.filter_probability):
+            axis = self.axis()
+            n.add(axis, self.filter(depth + 1, axis))
+        return n

@@ -1,13 +1,17 @@
-"""Regex parsing and NFA semantics, cross-checked against Python's re."""
+"""Regex parsing and NFA semantics, cross-checked against Python's re,
+and the engine's atom scan for path queries against both."""
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import Engine
 from repro.errors import ParseError
 from repro.graphdb.nfa import EPS, NFA, compile_regex
+from repro.graphdb.pathquery import PathAtom, PathQuery
 from repro.graphdb.regex import (
     Concat,
     Epsilon,
@@ -18,6 +22,7 @@ from repro.graphdb.regex import (
     plus,
     optional,
 )
+from repro.schema.multiplicity import Multiplicity
 
 ALPHABET = ("h", "n", "l", "t")
 
@@ -160,3 +165,61 @@ def test_compiled_nfa_is_freed_by_reference_counting():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@st.composite
+def path_queries(draw):
+    """0–5 atoms over three of the four labels, with every multiplicity:
+    label sets overlap and adjacent atoms often share labels, which is
+    where an atom-wise matcher has to keep several positions live."""
+    atoms = [
+        PathAtom(draw(st.frozensets(st.sampled_from(ALPHABET[:3]),
+                                    min_size=1)),
+                 draw(st.sampled_from((Multiplicity.ONE,
+                                       Multiplicity.OPTIONAL,
+                                       Multiplicity.PLUS,
+                                       Multiplicity.STAR))))
+        for _ in range(draw(st.integers(0, 5)))]
+    return PathQuery(atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_queries(), st.lists(st.lists(st.sampled_from(ALPHABET),
+                                         max_size=6), max_size=8))
+def test_engine_scan_agrees_with_the_nfa_and_python_re(query, words):
+    """The engine decides a path query by its atom scan; every word gets
+    the answer of the query's Thompson NFA and of Python's re, the empty
+    word and the empty query included.  The fourth label is outside every
+    query's alphabet."""
+    engine = Engine()
+    regex = query.to_regex()
+    nfa = compile_regex(regex)
+    pattern = re.compile(_to_python_re(regex) + r"\Z")
+    for word in [()] + [tuple(w) for w in words]:
+        expected = bool(pattern.match("".join(word)))
+        assert nfa.accepts(word) == expected
+        assert engine.accepts(query, word) == expected
+
+
+def test_engine_decides_path_queries_without_an_automaton():
+    query = PathQuery.parse("h+.(n|l)?.h*")
+    engine = Engine()
+    with mock.patch.object(PathQuery, "nfa",
+                           side_effect=AssertionError("compiled an NFA")):
+        assert engine.accepts(query, ("h", "h", "l"))
+        assert engine.accepts(query, ["h", "n", "h"])
+        assert not engine.accepts(query, ("n",))
+        assert not engine.accepts(query, ())
+    assert engine.stats()["nfa_cache"]["misses"] == 0
+    # The reference still runs the automaton.
+    assert query.accepts(("h", "h", "l")) and query._nfa is not None
+
+
+def test_scan_edge_cases():
+    assert PathQuery().scan().accepts(())
+    assert not PathQuery().scan().accepts(("h",))
+    skippable = PathQuery.parse("h?.n*")
+    assert skippable.scan().accepts(())
+    assert skippable.scan().accepts(("n", "n"))
+    assert not skippable.scan().accepts(("n", "h"))
+    assert not PathQuery.parse("h").scan().accepts(("t",))

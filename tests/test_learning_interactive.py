@@ -1,6 +1,7 @@
 """Interactive join sessions: convergence, propagation, strategy ordering."""
 
 import gc
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.learning.interactive import (
     RandomStrategy,
 )
 from repro.errors import LearningError
+from repro.learning.join_learner import PairExample
 from repro.learning.xml_session import InteractiveTwigSession
 from repro.relational.generator import make_join_instance
 from repro.relational.predicates import predicate_selects
@@ -49,6 +51,39 @@ def test_session_learns_equivalent_predicate(strategy):
                                      learned) == \
                 predicate_selects(inst.left, inst.right, lrow, rrow,
                                   inst.goal)
+
+
+def test_strategies_pick_least_score_then_least_repr():
+    """Both scoring strategies pick what ``min`` keyed on
+    ``(score, repr(pair))`` picks, on sampled pools (not in ``repr``
+    order) labelled part-way, where several pairs tie at the best score."""
+    ties = 0
+    for seed in range(40):
+        inst = make_join_instance(rng=seed, goal_pairs=1 + seed % 2,
+                                  left_rows=12, right_rows=12, domain=3)
+        session = InteractiveJoinSession(inst.left, inst.right, inst.goal,
+                                         max_pool=30, rng=seed)
+        pool, space = session.pool, session.space
+        assert pool != sorted(pool, key=repr)
+        for pair in pool[:random.Random(seed).randint(0, 5)]:
+            space.add(PairExample(*pair, session._answer(pair)))
+        informative = [p for p in pool if space.is_informative(*p)]
+        if not informative:
+            continue
+        hypotheses = list(space.consistent_hypotheses())
+        scores = {
+            "lattice": lambda p: -len(space.eq(*p) & space.theta_max),
+            "halving": lambda p: abs(2 * sum(h <= space.eq(*p)
+                                             for h in hypotheses)
+                                     - len(hypotheses)),
+        }
+        for strategy in (LatticeStrategy(), HalvingStrategy()):
+            score = scores[strategy.name]
+            expected = min(informative, key=lambda p: (score(p), repr(p)))
+            assert strategy.choose(space, informative) == expected
+            best = [p for p in informative if score(p) == score(expected)]
+            ties += len(best) > 1 and best[0] != expected
+    assert ties >= 10
 
 
 def test_all_pool_pairs_resolved():

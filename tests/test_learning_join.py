@@ -1,5 +1,6 @@
 """Join learning: version-space invariants and the PTIME consistency check."""
 
+import random
 from collections import Counter
 from unittest import mock
 
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InconsistentExamplesError, LearningError
+from repro.errors import (
+    InconsistentExamplesError,
+    LearningError,
+    RelationalError,
+)
 from repro.learning import join_learner
 from repro.learning.join_learner import (
     JoinVersionSpace,
@@ -100,6 +105,14 @@ def test_implied_negative_status():
                 assert space.status(lr, rr) is PairStatus.IMPLIED_NEGATIVE
 
 
+def test_unknown_attribute_in_universe_raises():
+    examples = [PairExample((1, 1), (1, 1), True)]
+    with pytest.raises(RelationalError):
+        check_join_consistency(R, S, examples, universe=[("a", "zz")])
+    with pytest.raises(RelationalError):
+        learn_join(R, S, examples, universe=[("zz", "c")])
+
+
 def test_consistent_hypotheses_enumeration():
     space = JoinVersionSpace(R, S)
     space.add(PairExample((1, 1), (1, 1), True))
@@ -150,3 +163,46 @@ def test_version_space_invariants_random(seed):
             assert goal_label
         elif status is PairStatus.IMPLIED_NEGATIVE:
             assert not goal_label
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(2, 4))
+def test_masks_decode_to_agreement_sets_and_status_follows_the_set_rule(
+        seed, goal_pairs, domain):
+    """After every answer, each pair's agreement mask decodes to its
+    agreement set, Θ and the negatives' sets are the intersection and the
+    list of the labelled pairs' sets, and the status of every pair is the
+    frozenset rule: implied positive iff Θ ⊆ eq, implied negative iff
+    Θ ∩ eq ⊆ eq(n) for some negative n."""
+    inst = make_join_instance(rng=seed, left_rows=6, right_rows=6,
+                              goal_pairs=goal_pairs, domain=domain)
+    space = JoinVersionSpace(inst.left, inst.right)
+    universe = sorted(space.universe)
+    pairs = [(lr, rr) for lr in inst.left for rr in inst.right]
+    random.Random(seed).shuffle(pairs)
+    eqs = {pair: agreement_pairs(inst.left, inst.right, *pair,
+                                 space.universe) for pair in pairs}
+    theta, negatives = space.universe, []
+    for asked in pairs[:10]:
+        positive = predicate_selects(inst.left, inst.right, *asked,
+                                     inst.goal)
+        space.add(PairExample(*asked, positive))
+        if positive:
+            theta = theta & eqs[asked]
+        else:
+            negatives.append(eqs[asked])
+        assert space.theta_max == theta
+        assert space.negative_eqs == negatives
+        for pair in pairs:
+            eq = eqs[pair]
+            mask = space._mask(*pair)
+            assert frozenset(p for i, p in enumerate(universe)
+                             if mask >> i & 1) == eq
+            if theta <= eq:
+                expected = PairStatus.IMPLIED_POSITIVE
+            elif any(theta & eq <= n for n in negatives):
+                expected = PairStatus.IMPLIED_NEGATIVE
+            else:
+                expected = PairStatus.INFORMATIVE
+            assert space.status(*pair) is expected
+            assert space.theta_overlap(*pair) == len(theta & eq)

@@ -90,6 +90,36 @@ def test_ledger_rewidens_only_after_a_positive_answer():
     assert widened == [] and probed == []
 
 
+def test_final_propagation_reuses_the_last_rounds_flags():
+    """A session stops right after a round, so the final propagation
+    counts with that round's membership flags instead of sending the same
+    batch again; a changed hypothesis or pending list asks afresh."""
+    batches = []
+
+    def members(h, candidates):
+        batches.append(tuple(candidates))
+        return [h[0] <= c <= h[1] for c in candidates]
+
+    ledger = InformativenessLedger(
+        lambda h, c: (c, c) if h is None else (min(h[0], c), max(h[1], c)),
+        lambda interval, negs: any(interval[0] <= n <= interval[1]
+                                   for n in negs),
+        members)
+    ledger.learn(4, True)
+    ledger.learn(9, False)
+    assert ledger.informative([4, 12]) == []  # 4 selected, 12 settles
+    assert batches == [(4, 12)]
+    stats = SessionStats()
+    ledger.count_implied([4, 12], stats)
+    assert batches == [(4, 12)]
+    assert (stats.implied_positive, stats.implied_negative) == (1, 1)
+    ledger.count_implied([12], SessionStats())
+    assert batches == [(4, 12), (12,)]
+    ledger.learn(3, True)
+    ledger.count_implied([4, 12], SessionStats())
+    assert batches == [(4, 12), (12,), (4, 12)]
+
+
 def test_canonical_query_roundtrip():
     doc = xml("<a><b><c>t</c></b><d/></a>")
     c = doc.root.children[0].children[0]

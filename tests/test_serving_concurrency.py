@@ -136,6 +136,45 @@ def test_shared_automaton_answers_correctly_under_racing_steps():
     assert not wrong
 
 
+def test_engine_scan_answers_correctly_under_racing_first_use():
+    """Threads decide words through ``Engine.accepts`` on one fresh path
+    query, whose scan tables are not built yet; with the switch interval
+    at 1 µs they race on building them, and every answer still equals
+    the query's NFA's."""
+    import itertools
+
+    from repro.graphdb.nfa import compile_regex
+
+    text = "highway+.(national|local)?.highway*"
+    labels = ("highway", "national", "local", "train")
+    words = [w for n in range(5) for w in itertools.product(labels, repeat=n)]
+    nfa = compile_regex(PathQuery.parse(text).to_regex())
+    expected = [nfa.accepts(w) for w in words]
+    engine = Engine()
+    n_threads = 6
+    start = threading.Barrier(n_threads, timeout=10)
+    wrong: list[int] = []
+
+    def worker(query):
+        def go():
+            start.wait()
+            answers = [engine.accepts(query, w) for w in words]
+            if answers != expected:
+                wrong.append(1)
+        return go
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            # A fresh query has no scan tables yet.
+            query = PathQuery.parse(text)
+            _run_threads([worker(query) for _ in range(n_threads)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+
+
 # ---------------------------------------------------------------------------
 # LRUCache under contention
 # ---------------------------------------------------------------------------
