@@ -51,23 +51,17 @@ runs it in-process, and a server runs it behind :class:`RemoteBackend`.
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import Any
 
-from repro.engine import Engine, LRUCache, get_engine
+from repro.engine import Engine, LRUCache, get_engine, instance_version
 from repro.engine.graph import query_key
 from repro.graphdb.graph import Graph, VertexId
 from repro.serving.evaluator import BatchEvaluator
 from repro.serving.net import WorkloadClient
 from repro.serving.resilience import CircuitBreaker, Deadline, RetryPolicy
-from repro.serving.wire import (
-    encode_path_query,
-    encode_twig_query,
-    instance_fingerprint,
-)
+from repro.serving.wire import instance_fingerprint
 from repro.serving.workload import (
     ItemKind,
     ShardAnswer,
@@ -152,32 +146,16 @@ def candidate_pair_flags(answers: Sequence, n_queries: int,
     return flags
 
 
-def _prefetch_key(item: WorkloadItem) -> str | None:
-    """A value-based identity for one workload item, or ``None``.
-
-    Keys pair the wire encoding of the query with the *content digest*
-    of the instance (memoised per version by
-    :func:`~repro.serving.wire.instance_fingerprint`), so a parked
-    speculative answer can never serve a mutated instance — the digest
-    changes with the version.  ``None`` means unkeyable (never parked,
-    never served).
-    """
-    try:
-        if item.kind is ItemKind.TWIG:
-            payload: dict = {"k": "twig",
-                             "q": encode_twig_query(item.query),
-                             "i": instance_fingerprint(item.instance)[0]}
-        elif item.kind is ItemKind.RPQ:
-            payload = {"k": "rpq", "q": encode_path_query(item.query),
-                       "i": instance_fingerprint(item.instance)[0],
-                       "s": None if item.sources is None
-                       else [repr(v) for v in item.sources]}
-        else:
-            payload = {"k": "accepts", "q": encode_path_query(item.query),
-                       "w": list(item.word)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    except Exception:  # noqa: BLE001 - unkeyable item, not an error
-        return None
+def _same_round(parked: Workload, versions: Sequence[int],
+                workload: Workload) -> bool:
+    """Does ``workload`` ask for exactly the items of ``parked``, in order,
+    of instances still at the versions they were evaluated at?"""
+    return len(parked) == len(workload) and all(
+        new.kind is old.kind and new.query is old.query
+        and new.instance is old.instance and new.word == old.word
+        and new.sources == old.sources
+        and instance_version(new.instance) == version
+        for old, new, version in zip(parked, workload, versions))
 
 
 class EvaluationBackend:
@@ -190,13 +168,14 @@ class EvaluationBackend:
     hypothesis semantics — is derived here once, identically for every
     backend.  Backends are context managers; ``close()`` releases any
     resources the backend itself constructed.
+
+    A backend parks at most one speculative round (:meth:`prefetch`)
+    and matches it by the objects it names, not by their content: two
+    equal documents are two instances, and each answer holds its own
+    document's nodes.
     """
 
     name = "abstract"
-
-    #: Bound on parked speculative answers; overflow ages out FIFO and
-    #: counts as waste (a prefetch nobody asked about).
-    PREFETCH_CAP = 1024
 
     def __init__(self, *, engine: Engine | None = None) -> None:
         #: Client-side engine for hypothesis *construction* (canonical
@@ -212,10 +191,11 @@ class EvaluationBackend:
         self._batches = 0
         self._items = 0
         self._map_calls = 0
-        #: Speculative answers parked by :meth:`prefetch`, keyed by
-        #: value (:func:`_prefetch_key`), consumed once by the first
-        #: matching :meth:`run`/:meth:`stream`.
-        self._prefetched: "OrderedDict[str, object]" = OrderedDict()
+        #: The round :meth:`prefetch` parked: its workload, each item's
+        #: instance version and the shard answers, served once to the
+        #: next :meth:`run`/:meth:`stream` that asks for the same items.
+        self._parked: tuple[Workload, tuple[int, ...],
+                            list[ShardAnswer]] | None = None
         self._prefetch_counts = {"submitted": 0, "hits": 0, "wasted": 0}
 
     # ------------------------------------------------------------------
@@ -245,9 +225,12 @@ class EvaluationBackend:
         """
         self._batches += 1
         self._items += len(workload)
-        served = self._serve_prefetched(workload)
-        if served is not None:
-            return iter(served)
+        if self._parked is not None:
+            parked, versions, answers = self._parked
+            if _same_round(parked, versions, workload):
+                self._parked = None
+                self._prefetch_counts["hits"] += len(workload)
+                return iter(answers)
         return iter(self._stream(workload))
 
     # ------------------------------------------------------------------
@@ -257,48 +240,25 @@ class EvaluationBackend:
         """Speculatively evaluate ``workload`` and park the answers.
 
         Sessions call this between interaction rounds with the
-        evaluation the next round will most likely ask for (the current
-        hypothesis over the still-pending candidates); a later
-        :meth:`run`/:meth:`stream` whose items *all* match parked
-        answers is served without touching the evaluation tier at all.
-        Answers are consumed once and aged out FIFO above
-        :attr:`PREFETCH_CAP` (counted as waste); keys carry the
-        instance's content digest, so a mutation between prefetch and
-        use can never serve stale answers.  Returns the number of items
-        submitted.
+        evaluation the next round will ask for (the current hypothesis
+        over the still-pending candidates).  The next :meth:`run` or
+        :meth:`stream` whose items match the parked ones in order (the
+        same kind, the same query and instance objects, equal words and
+        sources, each instance still at the version it was evaluated
+        at) is served from them once, without touching the evaluation
+        tier.  Any other request evaluates as usual and leaves the
+        round parked; parking over an unused round counts its items as
+        wasted.  Returns the number of items submitted.
         """
         if not len(workload):
             return 0
+        versions = tuple(instance_version(item.instance) for item in workload)
+        answers = list(self._stream(workload))
+        if self._parked is not None:
+            self._prefetch_counts["wasted"] += len(self._parked[0])
         self._prefetch_counts["submitted"] += len(workload)
-        result = WorkloadResult.assemble(workload, self._stream(workload))
-        for item, answer in zip(workload, result.answers):
-            key = _prefetch_key(item)
-            if key is None:
-                continue
-            self._prefetched[key] = answer
-            self._prefetched.move_to_end(key)
-        while len(self._prefetched) > self.PREFETCH_CAP:
-            self._prefetched.popitem(last=False)
-            self._prefetch_counts["wasted"] += 1
+        self._parked = (workload, versions, answers)
         return len(workload)
-
-    def _serve_prefetched(self,
-                          workload: Workload) -> list[ShardAnswer] | None:
-        """Parked answers for the *whole* workload, shard-shaped, or
-        ``None`` when any item misses (all-or-nothing: partial serves
-        would still pay the evaluation round trip they exist to save)."""
-        if not self._prefetched or not len(workload):
-            return None
-        keys = [_prefetch_key(item) for item in workload]
-        if any(key is None or key not in self._prefetched for key in keys):
-            return None
-        self._prefetch_counts["hits"] += len(workload)
-        answers = [self._prefetched[key] for key in keys]
-        for key in set(keys):
-            del self._prefetched[key]
-        return [ShardAnswer(i, shard.indices,
-                            tuple(answers[p] for p in shard.indices))
-                for i, shard in enumerate(workload.shards())]
 
     # ------------------------------------------------------------------
     # Twig membership shapes
@@ -483,8 +443,8 @@ class RemoteBackend(EvaluationBackend):
     transparent ``need_instances`` re-ship, never an error — and
     :meth:`warm_instances` pre-ships a corpus so even the first round
     sends refs.  :meth:`stats` reports the bytes the refs saved.
-    Speculative answers parked by :meth:`prefetch` serve the next
-    matching round with no round trip, as on every backend.
+    The round :meth:`prefetch` parks serves the next request for
+    exactly its items with no round trip, as on every backend.
 
     Single-word :meth:`accepts` probes are memoised client-side (they
     are pure in ``(query, word)``), so oracle-style repeated probes do
@@ -628,7 +588,7 @@ class RemoteBackend(EvaluationBackend):
             self._accepts_memo.put((key, word), accepted)
         return any(verdicts)
 
-    # The base ledger, bound here too: perfbench wraps RemoteBackend.prefetch.
+    # The base method, bound here too: perfbench wraps RemoteBackend.prefetch.
     prefetch = EvaluationBackend.prefetch
 
     def stats(self) -> dict[str, object]:

@@ -18,7 +18,10 @@ class Multiplicity(enum.Enum):
 
     @property
     def interval(self) -> Interval:
-        return _INTERVALS[self]
+        # Keyed by symbol: hashing a str skips the Python-level
+        # ``Enum.__hash__``, and this lookup sits in the path learner's
+        # inner loops.
+        return _INTERVALS[self._value_]
 
     @property
     def min(self) -> int:
@@ -50,9 +53,9 @@ class Multiplicity(enum.Enum):
 
 
 _INTERVALS = {
-    Multiplicity.ZERO: Interval(0, 0),
-    Multiplicity.ONE: Interval(1, 1),
-    Multiplicity.OPTIONAL: Interval(0, 1),
-    Multiplicity.PLUS: Interval(1, INF),
-    Multiplicity.STAR: Interval(0, INF),
+    Multiplicity.ZERO.value: Interval(0, 0),
+    Multiplicity.ONE.value: Interval(1, 1),
+    Multiplicity.OPTIONAL.value: Interval(0, 1),
+    Multiplicity.PLUS.value: Interval(1, INF),
+    Multiplicity.STAR.value: Interval(0, INF),
 }

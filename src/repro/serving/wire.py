@@ -741,6 +741,19 @@ def delta_record_for(instance: object, digest: str, size: int,
     return None
 
 
+def _index(value: object, size: int, what: str) -> int:
+    """``value`` as a position in a sequence of ``size`` entries.
+
+    Only a plain non-negative ``int`` below ``size`` passes: a Python
+    list would also take JSON ``true`` (as 1) and a negative number
+    (counting from the end) and answer with the wrong entry.
+    """
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or not 0 <= value < size):
+        raise ProtocolError(f"{what} out of range: {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Workload codec
 # ---------------------------------------------------------------------------
@@ -1074,16 +1087,12 @@ class WorkloadCodec:
         return Workload(items)
 
     def _resolve(self, index: object) -> object:
-        if not isinstance(index, int) or not (
-                0 <= index < len(self._instances)):
-            raise ProtocolError(f"dangling instance reference {index!r}")
-        return self._instances[index]
+        return self._instances[_index(index, len(self._instances),
+                                      "instance reference")]
 
     def _resolve_query(self, index: object) -> object:
-        if not isinstance(index, int) or not (
-                0 <= index < len(self._queries)):
-            raise ProtocolError(f"dangling query reference {index!r}")
-        return self._queries[index]
+        return self._queries[_index(index, len(self._queries),
+                                    "query reference")]
 
     # -- answers ---------------------------------------------------------
     def _preorder_nodes(self, instance: XTree) -> list[XNode]:
@@ -1126,17 +1135,13 @@ class WorkloadCodec:
             raise ProtocolError("shard frame indices/answers misaligned")
         answers: list[Any] = []
         for position, raw in zip(indices, raw_answers):
-            if not isinstance(position, int) or not (
-                    0 <= position < len(workload)):
-                raise ProtocolError(f"dangling item position {position!r}")
-            item = workload[position]
+            item = workload[_index(position, len(workload), "item position")]
             if item.kind is ItemKind.TWIG:
+                if not isinstance(raw, list):
+                    raise ProtocolError(f"malformed twig answer {raw!r}")
                 nodes = self._preorder_nodes(item.instance)
-                try:
-                    answers.append([nodes[p] for p in raw])
-                except (IndexError, TypeError) as exc:
-                    raise ProtocolError(
-                        f"twig positions out of range: {exc}") from exc
+                answers.append([nodes[_index(p, len(nodes), "twig position")]
+                                for p in raw])
             elif item.kind is ItemKind.RPQ:
                 answers.append({(_decode_vertex(s), _decode_vertex(t))
                                 for s, t in raw})

@@ -6,13 +6,14 @@ server.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine
+from repro.engine import Engine, instance_version
 from repro.graphdb.geo import make_geo_graph
 from repro.graphdb.pathquery import PathQuery
 from repro.graphdb.regex import parse_regex
@@ -47,10 +48,11 @@ from repro.serving import (
 from repro.twig.generator import canonical_query_for_node
 from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate_naive
-from repro.xmltree.tree import XTree
+from repro.xmltree.tree import XNode, XTree
 
 from .conftest import (
     identical_answers,
+    random_tree_edits,
     small_graphs,
     twig_queries,
     xml,
@@ -616,58 +618,169 @@ def test_remote_session_opens_one_connection(server, kind):
 
 
 # ---------------------------------------------------------------------------
-# The prefetch ledger: parked answers serve the next matching round
+# The parked round: one prefetched round serves the next request for
+# exactly its items
 # ---------------------------------------------------------------------------
 
 
-def _requests(backend: EvaluationBackend) -> int:
-    """Requests the backend has sent (the counter behind round_trips)."""
-    return backend.client.requests if isinstance(backend, RemoteBackend) \
-        else 0
+def _evaluations(backend: EvaluationBackend) -> int:
+    """What the backend has evaluated: requests sent (the counter behind
+    round_trips) remotely, shards evaluated locally."""
+    if isinstance(backend, RemoteBackend):
+        return backend.client.requests
+    return backend.stats()["shards"]
 
 
 def test_prefetched_round_serves_the_same_nodes_without_a_request(
         all_backends):
-    docs = _session_docs()
-    workload = Workload.twig(parse_twig("//person/name"), docs)
-    expected = LocalBackend(engine=Engine()).run(workload).answers
+    # The second corpus is two equal documents: each answer still holds
+    # its own document's nodes.
+    for docs in (_session_docs(), _session_docs()[:1] + _session_docs()[:1]):
+        workload = Workload.twig(parse_twig("//person/name"), docs)
+        expected = LocalBackend(engine=Engine()).run(workload).answers
+        for backend in all_backends:
+            backend.reset_stats()
+            assert backend.prefetch(workload) == len(workload)
+            sent = _evaluations(backend)
+            result = backend.run(workload)
+            assert _evaluations(backend) == sent, backend
+            assert identical_answers(result.answers, expected), backend
+            assert backend.stats()["prefetch"] == {
+                "submitted": len(workload), "hits": len(workload),
+                "wasted": 0}
+
+
+def test_twig_session_over_equal_documents_asks_as_without_prefetch(
+        all_backends):
+    goal = parse_twig("//person[phone]/name")
+    unparked = LocalBackend(engine=Engine())
+    unparked.prefetch = lambda workload: 0  # parks nothing
+    baseline = InteractiveTwigSession(_session_docs() + _session_docs(),
+                                      goal, backend=unparked).run()
     for backend in all_backends:
-        assert backend.prefetch(workload) == len(workload)
-        sent = _requests(backend)
-        result = backend.run(workload)
-        assert _requests(backend) == sent, backend
-        assert identical_answers(result.answers, expected)
-        assert backend.stats()["prefetch"] == {
-            "submitted": len(workload), "hits": len(workload), "wasted": 0}
+        result = InteractiveTwigSession(_session_docs() + _session_docs(),
+                                        goal, backend=backend).run()
+        assert result.query == baseline.query
+        assert result.stats == baseline.stats
+        assert backend.stats()["prefetch"]["hits"] > 0
+
+
+def _relabel_tracked(doc: XTree, node: XNode) -> None:
+    doc.relabel_node(node, label="nick")
+
+
+def _relabel_untracked(doc: XTree, node: XNode) -> None:
+    node.label = "nick"
+    doc.invalidate()
 
 
 def test_tracked_edit_between_prefetch_and_run_misses(all_backends):
-    for backend in all_backends:
-        docs = _session_docs()
-        workload = Workload.twig(parse_twig("//person/name"), docs)
-        backend.prefetch(workload)
-        first_name = next(n for n in docs[0].nodes() if n.label == "name")
-        docs[0].relabel_node(first_name, label="nick")
-        sent = _requests(backend)
-        result = backend.run(workload)
-        if isinstance(backend, RemoteBackend):
-            assert _requests(backend) == sent + 1  # re-evaluated remotely
-        expected = LocalBackend(engine=Engine()).run(workload).answers
-        assert identical_answers(result.answers, expected)
-        assert all(n is not first_name for n in result.answers[0])
-        assert backend.stats()["prefetch"]["hits"] == 0
+    # A tracked edit, and an untracked one announced by invalidate().
+    for edit in (_relabel_tracked, _relabel_untracked):
+        for backend in all_backends:
+            docs = _session_docs()
+            workload = Workload.twig(parse_twig("//person/name"), docs)
+            backend.prefetch(workload)
+            first_name = next(n for n in docs[0].nodes()
+                              if n.label == "name")
+            edit(docs[0], first_name)
+            sent = _evaluations(backend)
+            result = backend.run(workload)
+            assert _evaluations(backend) > sent, backend  # re-evaluated
+            expected = LocalBackend(engine=Engine()).run(workload).answers
+            assert identical_answers(result.answers, expected)
+            assert all(n is not first_name for n in result.answers[0])
+            assert backend.stats()["prefetch"]["hits"] == 0
 
 
-def test_parking_past_the_cap_counts_the_overflow_as_wasted(all_backends):
-    query = PathQuery.parse("road+")
-    words = [("road",), ("rail",), ("road", "road")]
+def test_one_parked_round_serves_only_its_exact_items_once(all_backends):
+    query = parse_twig("//person/name")
     for backend in all_backends:
-        backend.PREFETCH_CAP = 2
-        backend.prefetch(Workload.accepts(query, words))
+        a, b = _session_docs()
+        twin = _session_docs()[0]  # a's content, another object
+        backend.prefetch(Workload.twig(query, [b]))
+        backend.prefetch(Workload.twig(query, [a, b]))
+        # Parking over an unused round counts that round as wasted.
         assert backend.stats()["prefetch"] == {
             "submitted": 3, "hits": 0, "wasted": 1}
-        # The two newest answers stay parked and serve a round...
-        assert backend.accepts_batch(query, words[1:]) == [False, True]
-        # ...the aged-out one no longer does.
-        assert backend.accepts_batch(query, words[:1]) == [True]
-        assert backend.stats()["prefetch"]["hits"] == 2
+        # A prefix, a reordering, an equal query of another object and
+        # an equal document of another object are evaluated...
+        for other in (Workload.twig(query, [a]),
+                      Workload.twig(query, [b, a]),
+                      Workload.twig(parse_twig("//person/name"), [a, b]),
+                      Workload.twig(query, [twin, b])):
+            sent = _evaluations(backend)
+            result = backend.run(other)
+            assert _evaluations(backend) > sent, (backend, other)
+            assert identical_answers(
+                result.answers,
+                LocalBackend(engine=Engine()).run(other).answers)
+        # ...and leave the round parked for the request matching it,
+        # which it serves once.
+        for served in (True, False):
+            sent = _evaluations(backend)
+            backend.run(Workload.twig(query, [a, b]))
+            assert (_evaluations(backend) == sent) == served, backend
+        assert backend.stats()["prefetch"] == {
+            "submitted": 3, "hits": 2, "wasted": 1}
+
+
+_ROUND_STEP = st.tuples(
+    st.sampled_from(["prefetch", "run", "rerun", "edit"]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(roots=st.lists(xnode_trees(max_depth=3), min_size=1, max_size=2),
+       queries=st.lists(twig_queries(max_depth=2), min_size=1, max_size=2),
+       steps=st.lists(_ROUND_STEP, max_size=8))
+def test_parked_round_follows_its_model_on_every_backend(
+        server, roots, queries, steps):
+    """Random prefetch, run and tracked-edit steps over documents and
+    queries that include an equal-content twin of each first one
+    (``rerun`` asks for the items last prefetched).  A run is served
+    from the parked round iff it names the parked items' objects in
+    order at their parked versions; its answers are always the naive
+    oracle's nodes, and the counters follow the model."""
+    for backend in (LocalBackend(engine=Engine()),
+                    RemoteBackend(*server.address)):
+        docs = [XTree(copy.deepcopy(r)) for r in roots + roots[:1]]
+        twigs = queries + [copy.deepcopy(queries[0])]
+        parked = None  # (positions, versions) of the model's round
+        prefetched = None  # positions of the last prefetch
+        counts = {"submitted": 0, "hits": 0, "wasted": 0}
+        with backend:
+            for step, (op, pairs) in enumerate(steps):
+                positions = tuple((q % len(twigs), d % len(docs))
+                                  for q, d in pairs)
+                if op == "rerun" and prefetched is not None:
+                    positions = prefetched
+                if op == "edit":
+                    random_tree_edits(docs[positions[0][1]],
+                                      random.Random(step), 1)
+                    continue
+                workload = Workload(
+                    WorkloadItem(ItemKind.TWIG, twigs[q], docs[d])
+                    for q, d in positions)
+                versions = tuple(instance_version(docs[d])
+                                 for _, d in positions)
+                if op == "prefetch":
+                    backend.prefetch(workload)
+                    if parked is not None:
+                        counts["wasted"] += len(parked[0])
+                    counts["submitted"] += len(positions)
+                    parked = (positions, versions)
+                    prefetched = positions
+                else:
+                    served = parked == (positions, versions)
+                    before = _evaluations(backend)
+                    answers = backend.run(workload).answers
+                    assert (_evaluations(backend) == before) == served
+                    if served:
+                        counts["hits"] += len(positions)
+                        parked = None
+                    assert [[id(n) for n in answer] for answer in answers] \
+                        == [[id(n) for n in evaluate_naive(twigs[q], docs[d])]
+                            for q, d in positions]
+                assert backend.stats()["prefetch"] == counts, backend

@@ -444,6 +444,11 @@ def test_client_marks_framing_failure_unrecoverable():
         # The shard fails to decode; the ``done`` behind it must never
         # be read as the answer to a later request.
         ([_OUT_OF_RANGE_SHARD, _DONE], "out of range"),
+        # A Python list would take -1 as its last node and true as 1.
+        ([{**_OUT_OF_RANGE_SHARD, "answers": [[-1]]}, _DONE],
+         "out of range"),
+        ([{**_OUT_OF_RANGE_SHARD, "answers": [[True]]}, _DONE],
+         "out of range"),
     ]
     for reply, error in broken_replies:
         with _scripted_server([reply]) as address:
